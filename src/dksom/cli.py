@@ -159,7 +159,7 @@ def _load_input(path, kind):
     return load_matrix(path, kind)
 
 
-def _dissimilarity_for(algorithm: str, data, kind: str):
+def _dissimilarity_for(data, kind: str):
     """Dissimilarity view of the input for algorithms that want one."""
     if kind == "dissimilarity":
         return data
@@ -205,16 +205,16 @@ def _train_dispatch(cfg, data, kind, lattice):
         return _train_nystrom(cfg, data, kind, lattice, common, eps)
 
     if alg == "median":
-        dm = _dissimilarity_for(alg, data, kind)
+        dm = _dissimilarity_for(data, kind)
         res = mediansom.train_batch_median(dm, lattice, n_iter=t_max, **common)
         return res, {"dissimilarity": dm}
     if alg == "relational-batch":
-        dm = _dissimilarity_for(alg, data, kind)
+        dm = _dissimilarity_for(data, kind)
         res = relsom.train_batch_relational(dm, lattice, n_iter=t_max,
                                             init_mode=cfg["init_mode"], **common)
         return res, {"dissimilarity": dm}
     if alg == "relational-online":
-        dm = _dissimilarity_for(alg, data, kind)
+        dm = _dissimilarity_for(data, kind)
         res = relsom.train_online_relational(dm, lattice, n_epochs=t_max,
                                              init_mode=cfg["init_mode"], **common, **eps)
         return res, {"dissimilarity": dm}
@@ -227,7 +227,7 @@ def _train_dispatch(cfg, data, kind, lattice):
                                          init_mode=cfg["init_mode"], **common, **eps)
         return res, {"dissimilarity": kernel_to_dissimilarity(data)}
     if alg == "stmp":
-        dm = _dissimilarity_for(alg, data, kind)
+        dm = _dissimilarity_for(data, kind)
         sigma = cfg["sigma0"] if cfg["sigma0"] is not None else 1.0
         if cfg["beta0"] is not None or cfg["beta_max"] is not None:
             if cfg["beta0"] is None or cfg["beta_max"] is None:
@@ -251,7 +251,7 @@ def _train_nystrom(cfg, data, kind, lattice, common, eps):
         factor = nystrom.nystrom_fit(data, m, seed=nseed)
         dm = kernel_to_dissimilarity(data)
     else:
-        dm = _dissimilarity_for(alg, data, kind)
+        dm = _dissimilarity_for(data, kind)
         factor = nystrom.nystrom_fit_dissimilarity(dm, m, seed=nseed)
     t_max = cfg["t_max"]
     if alg.endswith("batch"):
@@ -344,6 +344,7 @@ def cmd_train(args) -> int:
         report["empty_unit_events"] = result.empty_unit_events
         report["stopped_early"] = result.stopped_early
         report["phase_timing_ns"] = result.phase_ns
+        report["resync_drift_max"] = result.resync_drift_max
 
     report["iterations_executed"] = executed
     h = _final_h(cfg, lattice, executed, extras)

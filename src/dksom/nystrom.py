@@ -10,6 +10,9 @@ With P = C W+ precomputed, one point-to-prototype relational distance costs
 O(N m) instead of O(N^2):
 
     dist(alpha, i) = g_i - 2 P_i . u + u^T W+ u,   u = C^T alpha, g = diag(K~).
+
+Online training keeps u and u^T W+ u up to date per unit, so a presentation
+costs O(m) per unit for its distances (see _LandmarkState).
 """
 
 from __future__ import annotations
@@ -145,13 +148,31 @@ def sample_reconstruction_error(
     return {"samples": n_samples, "mean_abs_error": float(err.mean()), "max_abs_error": float(err.max())}
 
 
-def _approx_row_dist(factor: NystromFactor):
-    def row(a: np.ndarray, i: int) -> np.ndarray:
-        u = factor.c_block.T @ a.T
-        quad = np.einsum("mk,mk->k", u, factor.w_pinv @ u)
-        return factor.g[i] - 2.0 * (factor.p_block[i] @ u) + quad
+class _LandmarkState:
+    """Incremental-engine view of the reconstruction K~ = C W+ C^T.
 
-    return row
+    The state is U = A C (K x m): a presentation of point i blends C[i] into
+    it, the cross term (K~ a_k)_i is U[k] . P[i] and the diagonal is g, so
+    one presentation reads m numbers per unit instead of N.
+    """
+
+    kernel_form = True  # distances g_i - 2 (K~ a_k)_i + a_k^T K~ a_k
+
+    def __init__(self, factor: NystromFactor):
+        self.factor = factor
+        self.rows = factor.c_block
+        self.diag = factor.g
+
+    def exact(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """U = A C and q_k = u_k^T W+ u_k, formed as approx_relational_distances does."""
+        u = self.rows.T @ a.T  # m x K
+        return u.T, np.einsum("mk,mk->k", u, self.factor.w_pinv @ u)
+
+    def cross(self, u: np.ndarray, i: int) -> np.ndarray:
+        return u @ self.factor.p_block[i]
+
+    def cross_all(self, u: np.ndarray) -> np.ndarray:
+        return (self.factor.p_block @ u.T).T
 
 
 def train_batch_approx(
@@ -184,9 +205,8 @@ def train_online_approx(
     seed: int = 0,
     init_mode: str = "indicator",
 ) -> CoefficientSOMResult:
-    """Stochastic relational SOM with O(N m K) honest per-presentation cost."""
+    """Stochastic relational SOM whose distances cost O(K m) per presentation."""
     return _train_online(
-        factor.n, _approx_row_dist(factor), lambda a: approx_relational_distances(factor, a),
-        lattice, n_epochs, sigma_start, sigma_end, sigma_mode,
-        eps_start, eps_end, seed, init_mode,
+        _LandmarkState(factor), lattice, n_epochs, sigma_start, sigma_end,
+        sigma_mode, eps_start, eps_end, seed, init_mode,
     )

@@ -189,6 +189,26 @@ def test_nystrom_acceleration_reports_error_sample(fixtures):
     assert report["nystrom"]["max_abs_error"] < 1e-6  # rank-2 data, 10 landmarks
 
 
+@pytest.mark.parametrize("landmarks", [(), ("--nystrom-landmarks", "10")])
+@pytest.mark.parametrize("algorithm, source, kind", [
+    ("relational-online", "dis", "dissimilarity"),
+    ("relational-online", "ker", "kernel"),
+    ("kernel-online", "ker", "kernel"),
+])
+def test_train_online_writes_stochastic_coefficients(fixtures, algorithm, source, kind, landmarks):
+    out = fixtures["tmp"] / f"run-{algorithm}-{kind}-{len(landmarks)}"
+    rc = main(["train", "--config", str(fixtures["cfg"]), "--algorithm", algorithm,
+               "--input", str(fixtures[source]), "--input-kind", kind,
+               "--out", str(out), *landmarks])
+    assert rc == 0
+    coeffs = np.loadtxt(out / "coefficients.csv", delimiter=",", ndmin=2)
+    assert coeffs.shape == (4, 40)
+    assert np.max(np.abs(coeffs.sum(axis=1) - 1.0)) < 1e-12
+    assert coeffs.min() >= 0.0 and coeffs.max() <= 1.0
+    report = json.loads((out / "report.json").read_text())
+    assert 0.0 <= report["resync_drift_max"] < 1e-12
+
+
 def test_nystrom_rejected_for_median(fixtures, capsys):
     rc = main(["train", "--config", str(fixtures["cfg"]), "--algorithm", "median",
                "--input", str(fixtures["dis"]), "--input-kind", "dissimilarity",

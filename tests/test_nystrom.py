@@ -18,8 +18,9 @@ from dksom.nystrom import (
     reconstruct_similarity,
     sample_reconstruction_error,
     train_batch_approx,
+    train_online_approx,
 )
-from dksom.relsom import relational_distances, train_batch_relational
+from dksom.relsom import _train_online_reference, relational_distances, train_batch_relational
 from dksom.verify import random_psd_kernel
 
 
@@ -118,3 +119,28 @@ def test_landmark_count_validation():
         nystrom_fit(k, 0)
     with pytest.raises(ValueError):
         nystrom_fit(k, 11)
+
+
+@pytest.mark.parametrize("init_mode", ["indicator", "uniform"])
+@pytest.mark.parametrize("kind", ["kernel", "dissimilarity"])
+def test_online_landmark_engine_matches_factored_distances(kind, init_mode):
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(40, 3))
+    if kind == "kernel":
+        factor = nystrom_fit(KernelMatrix.from_array(x @ x.T), 8, seed=1)
+    else:
+        dm = squared_euclidean(VectorDataset.from_array(x))
+        factor = nystrom_fit_dissimilarity(dm, 8, seed=1)
+    lat = Lattice(2, 2, "rectangular")
+    kw = dict(n_epochs=4, seed=3, init_mode=init_mode)
+    inc = train_online_approx(factor, lat, **kw)
+    # naive reference: approx_relational_distances evaluated at every presentation
+    ref = _train_online_reference(
+        factor.n, lambda a, i: approx_relational_distances(factor, a)[i],
+        lambda a: approx_relational_distances(factor, a), lat, **kw,
+    )
+    # shared coefficient arithmetic: bitwise-equal coefficients mean equal BMUs
+    assert np.array_equal(inc.coefficients, ref.coefficients)
+    assert np.array_equal(inc.assignment_trace, ref.assignment_trace)
+    np.testing.assert_allclose(inc.energy_trace, ref.energy_trace, rtol=1e-12)
+    assert 0.0 <= inc.resync_drift_max < 1e-12

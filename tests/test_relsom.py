@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
 
-from dksom.dismat import KernelMatrix, VectorDataset, kernel_to_dissimilarity, squared_euclidean
+from dksom.dismat import (
+    DissimilarityMatrix,
+    KernelMatrix,
+    VectorDataset,
+    kernel_to_dissimilarity,
+    squared_euclidean,
+)
 from dksom.lattice import Lattice
 from dksom.relsom import (
+    _DenseState,
+    _relational_row_dist,
+    _train_online,
+    _train_online_reference,
     bmu_relational,
     kernel_distance,
     kernel_distances,
@@ -147,16 +157,17 @@ def test_stable_assignment_stops_early():
     assert res.phase_ns["assignment"] > 0 and res.phase_ns["update"] > 0
 
 
-def test_negative_distance_counter_on_hostile_matrix():
+def _hostile_dissimilarity() -> DissimilarityMatrix:
     # random hollow symmetric matrix with heavy off-diagonal contrast; not of
     # negative type, so weighted prototypes produce negative "distances"
     rng = np.random.default_rng(18)
     w = rng.choice([1.0, 25.0], size=(16, 16))
     w = np.triu(w, 1)
-    w = w + w.T
-    from dksom.dismat import DissimilarityMatrix
+    return DissimilarityMatrix.from_array(w + w.T)
 
-    dm = DissimilarityMatrix.from_array(w)
+
+def test_negative_distance_counter_on_hostile_matrix():
+    dm = _hostile_dissimilarity()
     res = train_batch_relational(dm, Lattice(2, 2, "rectangular"), n_iter=10, seed=1,
                                  stop_on_stable_assignment=False)
     assert res.negative_distances > 0
@@ -177,3 +188,54 @@ def test_kernel_trainers_run_and_agree_with_relational():
     orr = train_online_relational(d, lat, n_epochs=4, seed=7)
     assert np.array_equal(ok.assignments, orr.assignments)
     assert np.max(np.abs(ok.coefficients - orr.coefficients)) < 1e-12
+
+
+def _kernel_row_dist(k_values):
+    """Kernel distances of point i with A K recomputed in full: the naive path."""
+    diag = np.diag(k_values)
+
+    def row(a, i):
+        g = a @ k_values
+        quad = np.einsum("kn,kn->k", a, g)
+        return diag[i] - 2.0 * g[:, i] + quad
+
+    return row
+
+
+def _online_case(kind):
+    """(incremental engine state, matrix, naive row distances, naive matrix distances)."""
+    if kind == "kernel":
+        b = np.random.default_rng(41).normal(size=(30, 40))
+        k = KernelMatrix.from_array(b @ b.T / 40)
+        return (_DenseState(k.values, kernel_form=True), k, _kernel_row_dist(k.values),
+                lambda a: kernel_distances(k.values, a))
+    if kind == "squared-euclidean":
+        x = np.random.default_rng(40).normal(size=(30, 2))
+        dm = squared_euclidean(VectorDataset.from_array(x))
+    else:
+        dm = _hostile_dissimilarity()
+    return (_DenseState(dm.values, kernel_form=False), dm, _relational_row_dist(dm.values),
+            lambda a: relational_distances(dm.values, a))
+
+
+@pytest.mark.parametrize("presentations", [None, 23])
+@pytest.mark.parametrize("init_mode", ["indicator", "uniform"])
+@pytest.mark.parametrize("kind", ["squared-euclidean", "non-euclidean", "kernel"])
+def test_incremental_online_engine_matches_naive_reference(kind, init_mode, presentations):
+    state, matrix, row_dist, matrix_dist = _online_case(kind)
+    lat = Lattice(2, 3, "rectangular")
+    kw = dict(n_epochs=5, seed=4, init_mode=init_mode, presentations_per_epoch=presentations)
+    inc = _train_online(state, lat, **kw)
+    ref = _train_online_reference(matrix.n, row_dist, matrix_dist, lat, **kw)
+    # both engines run the same coefficient arithmetic, so bitwise-equal
+    # coefficients (stricter than the 1e-12 gate) mean the same BMU at every
+    # presentation
+    assert np.array_equal(inc.coefficients, ref.coefficients)
+    assert np.array_equal(inc.assignment_trace, ref.assignment_trace)
+    assert np.array_equal(inc.assignments, ref.assignments)
+    assert inc.negative_distances == ref.negative_distances
+    if kind == "non-euclidean":
+        assert ref.negative_distances > 0
+    np.testing.assert_allclose(inc.energy_trace, ref.energy_trace, rtol=1e-12)
+    assert 0.0 <= inc.resync_drift_max < 1e-12
+    assert ref.resync_drift_max is None
