@@ -38,57 +38,36 @@ ALGORITHMS = (
     "kernel-batch", "kernel-online", "stmp",
 )
 INPUT_KINDS = ("dissimilarity", "kernel", "vectors")
+TOPOLOGIES = ("rectangular", "hexagonal")
 
-# config-file keys, their converters, and the matching train-flag attribute
-CONFIG_KEYS = {
-    "algorithm": (str, "algorithm"),
-    "input.path": (str, "input"),
-    "input.kind": (str, "input_kind"),
-    "output.dir": (str, "out"),
-    "seed": (int, "seed"),
-    "init.mode": (str, "init_mode"),
-    "grid.rows": (int, "rows"),
-    "grid.cols": (int, "cols"),
-    "grid.topology": (str, "topology"),
-    "schedule.sigma0": (float, "sigma0"),
-    "schedule.sigma_final": (float, "sigma_final"),
-    "schedule.eps0": (float, "eps0"),
-    "schedule.eps_final": (float, "eps_final"),
-    "schedule.t_max": (int, "t_max"),
-    "schedule.mode": (str, "schedule_mode"),
-    "stmp.beta0": (float, "beta0"),
-    "stmp.beta_factor": (float, "beta_factor"),
-    "stmp.beta_max": (float, "beta_max"),
-    "stmp.inner_tol": (float, "inner_tol"),
-    "stmp.inner_max_iters": (int, "inner_max_iters"),
-    "nystrom.landmarks": (int, "nystrom_landmarks"),
-    "nystrom.seed": (int, "nystrom_seed"),
-}
-
-DEFAULTS = {
-    "algorithm": None,
-    "input": None,
-    "input_kind": None,
-    "out": None,
-    "seed": 0,
-    "init_mode": "indicator",
-    "rows": 5,
-    "cols": 5,
-    "topology": "rectangular",
-    "sigma0": None,
-    "sigma_final": 0.3,
-    "eps0": 0.5,
-    "eps_final": 0.01,
-    "t_max": 50,
-    "schedule_mode": "exponential_decay",
-    "beta0": None,
-    "beta_factor": 1.1,
-    "beta_max": None,
-    "inner_tol": 1e-6,
-    "inner_max_iters": 500,
-    "nystrom_landmarks": None,
-    "nystrom_seed": 0,
-}
+# (config key, attribute, type, default, choices); each attribute is also
+# the train flag "--" + attribute with "_" -> "-"
+SETTINGS = (
+    ("algorithm", "algorithm", str, None, ALGORITHMS),
+    ("input.path", "input", str, None, None),
+    ("input.kind", "input_kind", str, None, INPUT_KINDS),
+    ("output.dir", "out", str, None, None),
+    ("seed", "seed", int, 0, None),
+    ("init.mode", "init_mode", str, "indicator", ("indicator", "uniform")),
+    ("grid.rows", "rows", int, 5, None),
+    ("grid.cols", "cols", int, 5, None),
+    ("grid.topology", "topology", str, "rectangular", TOPOLOGIES),
+    ("schedule.sigma0", "sigma0", float, None, None),
+    ("schedule.sigma_final", "sigma_final", float, 0.3, None),
+    ("schedule.eps0", "eps0", float, 0.5, None),
+    ("schedule.eps_final", "eps_final", float, 0.01, None),
+    ("schedule.t_max", "t_max", int, 50, None),
+    ("schedule.mode", "schedule_mode", str, "exponential_decay", ("exponential_decay", "fixed")),
+    ("stmp.beta0", "beta0", float, None, None),
+    ("stmp.beta_factor", "beta_factor", float, 1.1, None),
+    ("stmp.beta_max", "beta_max", float, None, None),
+    ("stmp.inner_tol", "inner_tol", float, 1e-6, None),
+    ("stmp.inner_max_iters", "inner_max_iters", int, 500, None),
+    ("nystrom.landmarks", "nystrom_landmarks", int, None, None),
+    ("nystrom.seed", "nystrom_seed", int, 0, None),
+)
+CONFIG_KEYS = {key: (attr, kind, choices) for key, attr, kind, _, choices in SETTINGS}
+DEFAULTS = {attr: default for _, attr, _, default, _ in SETTINGS}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,13 +91,15 @@ def parse_config(path) -> dict:
             key = key.strip()
             if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{ln}: unknown configuration key {key!r}")
-            caster, attr = CONFIG_KEYS[key]
+            attr, kind, choices = CONFIG_KEYS[key]
+            value = value.strip()
             try:
-                out[attr] = caster(value.strip())
+                out[attr] = kind(value)
             except ValueError:
-                raise ValueError(
-                    f"{path}:{ln}: bad value {value.strip()!r} for {key}"
-                ) from None
+                raise ValueError(f"{path}:{ln}: bad value {value!r} for {key}") from None
+            if choices and value not in choices:
+                raise ValueError(f"{path}:{ln}: bad value {value!r} for {key}"
+                                 f" (choose from {', '.join(choices)})")
     return out
 
 
@@ -183,98 +164,63 @@ def cmd_validate(args) -> int:
 
 
 def _train_dispatch(cfg, data, kind, lattice):
-    """Run the configured algorithm; returns (result, kind-specific extras)."""
+    """Run the configured algorithm; returns (result, dissimilarity view of the
+    input, landmark report or None).
+
+    Trainers are looked up in their modules at call time, so that a
+    rebinding of a module attribute (perfbench/spans.py) reaches them.
+    """
     alg = cfg["algorithm"]
-    common = dict(sigma_start=cfg["sigma0"], sigma_end=cfg["sigma_final"],
-                  sigma_mode=cfg["schedule_mode"], seed=cfg["seed"])
-    t_max = cfg["t_max"]
-    eps = dict(eps_start=cfg["eps0"], eps_end=cfg["eps_final"])
+    online = alg.endswith("online")
+    schedule = dict(sigma_start=cfg["sigma0"], sigma_end=cfg["sigma_final"],
+                    sigma_mode=cfg["schedule_mode"], seed=cfg["seed"])
+    if online:
+        schedule.update(n_epochs=cfg["t_max"], eps_start=cfg["eps0"], eps_end=cfg["eps_final"])
+    else:
+        schedule.update(n_iter=cfg["t_max"])
+    landmarks = cfg["nystrom_landmarks"]
+
+    if alg.startswith("classic") and kind != "vectors":
+        raise ValueError("vector input required for classic algorithms")
+    if alg.startswith("kernel") and kind != "kernel":
+        raise ValueError("kernel input required for kernel algorithms")
+    if landmarks is not None and alg in ("median", "stmp"):
+        raise ValueError("landmark acceleration applies to relational/kernel algorithms only")
+    dm = _dissimilarity_for(data, kind)
 
     if alg.startswith("classic"):
-        if kind != "vectors":
-            raise ValueError("vector input required for classic algorithms")
-        if alg == "classic-batch":
-            return vectorsom.train_batch(data, lattice, n_iter=t_max, **common), {}
-        return vectorsom.train_online(data, lattice, n_epochs=t_max, **common, **eps), {}
-
-    if alg.startswith("kernel"):
-        if kind != "kernel":
-            raise ValueError("kernel input required for kernel algorithms")
-
-    if cfg["nystrom_landmarks"] is not None:
-        return _train_nystrom(cfg, data, kind, lattice, common, eps)
-
+        train = vectorsom.train_online if online else vectorsom.train_batch
+        return train(data, lattice, **schedule), dm, None
     if alg == "median":
-        dm = _dissimilarity_for(data, kind)
-        res = mediansom.train_batch_median(dm, lattice, n_iter=t_max, **common)
-        return res, {"dissimilarity": dm}
-    if alg == "relational-batch":
-        dm = _dissimilarity_for(data, kind)
-        res = relsom.train_batch_relational(dm, lattice, n_iter=t_max,
-                                            init_mode=cfg["init_mode"], **common)
-        return res, {"dissimilarity": dm}
-    if alg == "relational-online":
-        dm = _dissimilarity_for(data, kind)
-        res = relsom.train_online_relational(dm, lattice, n_epochs=t_max,
-                                             init_mode=cfg["init_mode"], **common, **eps)
-        return res, {"dissimilarity": dm}
-    if alg == "kernel-batch":
-        res = relsom.train_batch_kernel(data, lattice, n_iter=t_max,
-                                        init_mode=cfg["init_mode"], **common)
-        return res, {"dissimilarity": kernel_to_dissimilarity(data)}
-    if alg == "kernel-online":
-        res = relsom.train_online_kernel(data, lattice, n_epochs=t_max,
-                                         init_mode=cfg["init_mode"], **common, **eps)
-        return res, {"dissimilarity": kernel_to_dissimilarity(data)}
+        return mediansom.train_batch_median(dm, lattice, **schedule), dm, None
     if alg == "stmp":
-        dm = _dissimilarity_for(data, kind)
         sigma = cfg["sigma0"] if cfg["sigma0"] is not None else 1.0
+        sched = None
         if cfg["beta0"] is not None or cfg["beta_max"] is not None:
             if cfg["beta0"] is None or cfg["beta_max"] is None:
                 raise ValueError("stmp.beta0 and stmp.beta_max must be set together")
             sched = stmp.AnnealingSchedule(cfg["beta0"], cfg["beta_factor"], cfg["beta_max"],
                                            cfg["inner_tol"], cfg["inner_max_iters"])
-        else:
-            sched = None
-        res = stmp.train_stmp(dm, lattice, sigma=sigma, annealing=sched, seed=cfg["seed"])
-        return res, {"dissimilarity": dm, "sigma": sigma}
-    raise ValueError(f"unknown algorithm {cfg['algorithm']!r}")
+        result = stmp.train_stmp(dm, lattice, sigma=sigma, annealing=sched, seed=cfg["seed"])
+        return result, dm, None
 
+    schedule.update(init_mode=cfg["init_mode"])
+    if landmarks is None:
+        if alg.startswith("kernel"):
+            train = relsom.train_online_kernel if online else relsom.train_batch_kernel
+            return train(data, lattice, **schedule), dm, None
+        train = relsom.train_online_relational if online else relsom.train_batch_relational
+        return train(dm, lattice, **schedule), dm, None
 
-def _train_nystrom(cfg, data, kind, lattice, common, eps):
-    alg = cfg["algorithm"]
-    if alg not in ("relational-batch", "relational-online", "kernel-batch", "kernel-online"):
-        raise ValueError("landmark acceleration applies to relational/kernel algorithms only")
-    m = cfg["nystrom_landmarks"]
     nseed = cfg["nystrom_seed"]
     if kind == "kernel":
-        factor = nystrom.nystrom_fit(data, m, seed=nseed)
-        dm = kernel_to_dissimilarity(data)
+        source, factor = data, nystrom.nystrom_fit(data, landmarks, seed=nseed)
     else:
-        dm = _dissimilarity_for(data, kind)
-        factor = nystrom.nystrom_fit_dissimilarity(dm, m, seed=nseed)
-    t_max = cfg["t_max"]
-    if alg.endswith("batch"):
-        res = nystrom.train_batch_approx(factor, lattice, n_iter=t_max,
-                                         init_mode=cfg["init_mode"], **common)
-    else:
-        res = nystrom.train_online_approx(factor, lattice, n_epochs=t_max,
-                                          init_mode=cfg["init_mode"], **common, **eps)
-    original = data.values if kind == "kernel" else dm.values
-    sample = nystrom.sample_reconstruction_error(factor, original, seed=nseed)
-    extras = {"dissimilarity": dm,
-              "nystrom": {"landmarks": m, "seed": nseed, "rank": factor.rank, **sample}}
-    return res, extras
-
-
-def _final_h(cfg, lattice, executed, extras):
-    from .lattice import DecaySchedule, default_sigma_start
-
-    if "sigma" in extras:  # stmp: fixed neighborhood
-        return lattice.neighborhood(extras["sigma"])
-    start = cfg["sigma0"] if cfg["sigma0"] is not None else default_sigma_start(lattice)
-    sched = DecaySchedule(start, cfg["sigma_final"], cfg["t_max"], cfg["schedule_mode"])
-    return lattice.neighborhood(sched.value_at(max(0, min(executed, cfg["t_max"]) - 1)))
+        source, factor = dm, nystrom.nystrom_fit_dissimilarity(dm, landmarks, seed=nseed)
+    train = nystrom.train_online_approx if online else nystrom.train_batch_approx
+    result = train(factor, lattice, **schedule)
+    sample = nystrom.sample_reconstruction_error(factor, source.values, seed=nseed)
+    return result, dm, {"landmarks": landmarks, "seed": nseed, "rank": factor.rank, **sample}
 
 
 def cmd_train(args) -> int:
@@ -282,10 +228,6 @@ def cmd_train(args) -> int:
     for required in ("algorithm", "input", "input_kind", "out"):
         if cfg[required] is None:
             raise ValueError(f"missing required setting {required!r}")
-    if cfg["algorithm"] not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {cfg['algorithm']!r}")
-    if cfg["input_kind"] not in INPUT_KINDS:
-        raise ValueError(f"unknown input kind {cfg['input_kind']!r}")
 
     data = _load_input(cfg["input"], cfg["input_kind"])
     lattice = Lattice(cfg["rows"], cfg["cols"], cfg["topology"])
@@ -293,7 +235,7 @@ def cmd_train(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter_ns()
-    result, extras = _train_dispatch(cfg, data, cfg["input_kind"], lattice)
+    result, dm, landmark_report = _train_dispatch(cfg, data, cfg["input_kind"], lattice)
     wall_ns = time.perf_counter_ns() - t0
 
     alg = cfg["algorithm"]
@@ -347,10 +289,9 @@ def cmd_train(args) -> int:
         report["resync_drift_max"] = result.resync_drift_max
 
     report["iterations_executed"] = executed
-    h = _final_h(cfg, lattice, executed, extras)
+    h = lattice.neighborhood(result.final_sigma)
 
     if alg.startswith("classic"):
-        dm = squared_euclidean(data)
         dist = vectorsom.squared_distances_to_prototypes(data.points, result.prototypes)
         report["final_quantization_cost"] = vectorsom.map_energy(dist, assignments, h)
         report["final_clustering_cost"] = quality.clustering_cost(dm.values, assignments, h)
@@ -358,12 +299,11 @@ def cmd_train(args) -> int:
         grid = quality.umatrix_from_pairwise(pairwise, lattice)
         report["criterion_trace"] = result.energy_trace.tolist()
     else:
-        d_values = extras["dissimilarity"].values
-        crep = quality.criterion_report(d_values, protos, assignments, h)
+        crep = quality.criterion_report(dm.values, protos, assignments, h)
         report["final_quantization_cost"] = crep.quantization_cost
         report["final_clustering_cost"] = crep.clustering_cost
         report["per_unit_sizes"] = crep.per_unit_sizes.tolist()
-        grid = quality.umatrix(protos, d_values, lattice)
+        grid = quality.umatrix(protos, dm.values, lattice)
         if alg == "stmp":
             report["criterion_trace"] = result.trace[:, 2].tolist()  # max |delta e| per outer step
             report["entropy_trace"] = result.trace[:, 3].tolist()
@@ -374,8 +314,8 @@ def cmd_train(args) -> int:
     quality.save_umatrix_pgm(grid, outdir / "umatrix.pgm")
     artifacts["umatrix_csv"] = str(outdir / "umatrix.csv")
     artifacts["umatrix_pgm"] = str(outdir / "umatrix.pgm")
-    if "nystrom" in extras:
-        report["nystrom"] = extras["nystrom"]
+    if landmark_report is not None:
+        report["nystrom"] = landmark_report
 
     report["artifacts"] = artifacts
     _write_json(report, outdir / "report.json")
@@ -402,19 +342,13 @@ def cmd_verify(args) -> int:
 
 def cmd_umatrix(args) -> int:
     lattice = Lattice(args.rows, args.cols, args.topology)
-    data = _load_input(args.input, args.input_kind)
-    if args.input_kind == "vectors":
-        d_values = squared_euclidean(data).values
-    elif args.input_kind == "kernel":
-        d_values = kernel_to_dissimilarity(data).values
-    else:
-        d_values = data.values
+    dm = _dissimilarity_for(_load_input(args.input, args.input_kind), args.input_kind)
     raw = load_array(args.prototypes)
     if args.prototype_kind == "median":
         protos = raw.ravel().astype(np.int64)
     else:
         protos = raw
-    grid = quality.umatrix(protos, d_values, lattice)
+    grid = quality.umatrix(protos, dm.values, lattice)
     quality.save_umatrix_csv(grid, f"{args.out}.csv")
     quality.save_umatrix_pgm(grid, f"{args.out}.pgm")
     print(f"wrote {args.out}.csv and {args.out}.pgm")
@@ -433,29 +367,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train one algorithm and write artifacts")
     p.add_argument("--config", help="flat key = value configuration file")
-    p.add_argument("--algorithm", choices=ALGORITHMS)
-    p.add_argument("--input")
-    p.add_argument("--input-kind", choices=INPUT_KINDS, dest="input_kind")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--init-mode", choices=("indicator", "uniform"), dest="init_mode")
-    p.add_argument("--rows", type=int)
-    p.add_argument("--cols", type=int)
-    p.add_argument("--topology", choices=("rectangular", "hexagonal"))
-    p.add_argument("--sigma0", type=float)
-    p.add_argument("--sigma-final", type=float, dest="sigma_final")
-    p.add_argument("--eps0", type=float)
-    p.add_argument("--eps-final", type=float, dest="eps_final")
-    p.add_argument("--t-max", type=int, dest="t_max")
-    p.add_argument("--schedule-mode", choices=("exponential_decay", "fixed"),
-                   dest="schedule_mode")
-    p.add_argument("--beta0", type=float)
-    p.add_argument("--beta-factor", type=float, dest="beta_factor")
-    p.add_argument("--beta-max", type=float, dest="beta_max")
-    p.add_argument("--inner-tol", type=float, dest="inner_tol")
-    p.add_argument("--inner-max-iters", type=int, dest="inner_max_iters")
-    p.add_argument("--nystrom-landmarks", type=int, dest="nystrom_landmarks")
-    p.add_argument("--nystrom-seed", type=int, dest="nystrom_seed")
+    for _, attr, kind, _, choices in SETTINGS:
+        p.add_argument("--" + attr.replace("_", "-"), dest=attr, type=kind, choices=choices)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("bench", help="empirical complexity benchmark")
@@ -478,7 +391,7 @@ def build_parser() -> _Parser:
                    dest="prototype_kind", required=True)
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--topology", choices=("rectangular", "hexagonal"), default="rectangular")
+    p.add_argument("--topology", choices=TOPOLOGIES, default="rectangular")
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_umatrix)
     return parser

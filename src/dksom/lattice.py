@@ -100,8 +100,3 @@ class DecaySchedule:
 
     def values(self) -> np.ndarray:
         return np.array([self.value_at(t) for t in range(self.t_max)])
-
-
-def geometric_schedule(start: float, end: float, steps: int) -> np.ndarray:
-    """Geometric interpolation from start to end over `steps` values."""
-    return DecaySchedule(start, end, steps).values()

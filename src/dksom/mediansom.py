@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import DEFAULT_SIGMA_END, DecaySchedule, Lattice, default_sigma_start
-from .vectorsom import map_energy
+from .lattice import DEFAULT_SIGMA_END, Lattice
+from .relsom import _batch_loop
 
 
 @dataclass
@@ -24,6 +24,7 @@ class MedianSOMResult:
     assignment_trace: np.ndarray  # T x N
     energy_trace: np.ndarray  # T
     lattice: Lattice
+    final_sigma: float  # neighborhood radius of the last recorded iteration
     collisions_detected: int = 0  # units whose unconstrained choice collided, summed over iterations
     collisions_unresolved: int = 0  # duplicate prototypes left at the end (only when K > N)
     stopped_early: bool = False
@@ -110,33 +111,12 @@ def train_batch_median(
     """
     d = dismatrix.values
     n, k = d.shape[0], lattice.n_units
-    if sigma_start is None:
-        sigma_start = default_sigma_start(lattice)
-    sigmas = DecaySchedule(sigma_start, sigma_end, n_iter, sigma_mode).values()
-    rng = np.random.default_rng(seed)
-    protos = rng.choice(n, size=k, replace=k > n)
-
-    trace: list[np.ndarray] = []
-    energies: list[float] = []
-    detected_total = 0
-    unresolved = 0
-    stopped = False
-    prev = None
-    for t in range(n_iter):
-        h = lattice.neighborhood(sigmas[t])
-        dist = d[:, protos]
-        c = np.argmin(dist, axis=1)
-        trace.append(c)
-        energies.append(map_energy(dist, c, h))
-        if stop_on_stable_assignment and prev is not None and np.array_equal(c, prev):
-            stopped = True
-            break
-        prev = c
-        protos, detected, unresolved = median_update(d, c, h)
-        detected_total += detected
-
-    final = np.argmin(d[:, protos], axis=1)
+    run = _batch_loop(
+        lattice, n_iter, sigma_start, sigma_end, sigma_mode, stop_on_stable_assignment,
+        lambda: np.random.default_rng(seed).choice(n, size=k, replace=k > n),
+        lambda protos: d[:, protos], lambda protos, c, h: median_update(d, c, h)[:2],
+    )
     return MedianSOMResult(
-        protos, final, np.asarray(trace), np.asarray(energies), lattice,
-        detected_total, unresolved, stopped,
+        run.state, run.assignments, run.trace, run.energies, lattice, run.final_sigma,
+        run.events, k - np.unique(run.state).size, run.stopped,
     )

@@ -45,6 +45,7 @@ class CoefficientSOMResult:
     assignment_trace: np.ndarray  # T x N
     energy_trace: np.ndarray  # T
     lattice: Lattice
+    final_sigma: float  # neighborhood radius of the last recorded iteration or epoch
     stopped_early: bool = False
     negative_distances: int = 0  # distance evaluations < 0 over the whole run
     empty_unit_events: int = 0  # batch updates skipped for lack of neighborhood mass
@@ -138,6 +139,90 @@ def _init_coefficients(
     return a
 
 
+@dataclass
+class _BatchRun:
+    """What _batch_loop recorded; state is the last value update returned."""
+
+    state: object
+    assignments: np.ndarray  # N, under the final state
+    trace: np.ndarray  # T x N
+    energies: np.ndarray  # T
+    stopped: bool
+    final_sigma: float
+    events: int  # sum of the counts update returned
+    negative: int  # distance entries < 0, the final evaluation included
+    phase_ns: dict
+
+
+def _batch_loop(
+    lattice: Lattice,
+    n_iter: int,
+    sigma_start: float | None,
+    sigma_end: float,
+    sigma_mode: str,
+    stop_on_stable_assignment: bool,
+    init,
+    distances,
+    update,
+) -> _BatchRun:
+    """Batch engine of the coefficient and median trainers.
+
+    Each iteration assigns every point to its nearest unit under
+    distances(state) (N x K), records the assignments and the map energy,
+    stops if the assignments repeat, and otherwise moves to the state of
+    update(state, assignments, h) -> (state, count of events). The state
+    starts as init(), called after the schedule is validated.
+    """
+    if sigma_start is None:
+        sigma_start = default_sigma_start(lattice)
+    sigmas = DecaySchedule(sigma_start, sigma_end, n_iter, sigma_mode).values()
+    state = init()
+
+    trace: list[np.ndarray] = []
+    energies: list[float] = []
+    events = 0
+    negative = 0
+    assign_ns = 0
+    update_ns = 0
+    stopped = False
+    for t in range(n_iter):
+        h = lattice.neighborhood(sigmas[t])
+        t0 = time.perf_counter_ns()
+        dist = distances(state)
+        c = np.argmin(dist, axis=1)
+        assign_ns += time.perf_counter_ns() - t0
+        negative += int(np.count_nonzero(dist < 0.0))
+        trace.append(c)
+        energies.append(map_energy(dist, c, h))
+        if stop_on_stable_assignment and t > 0 and np.array_equal(c, trace[-2]):
+            stopped = True
+            break
+        t0 = time.perf_counter_ns()
+        state, count = update(state, c, h)
+        update_ns += time.perf_counter_ns() - t0
+        events += count
+
+    t0 = time.perf_counter_ns()
+    dist = distances(state)
+    final = np.argmin(dist, axis=1)
+    assign_ns += time.perf_counter_ns() - t0
+    negative += int(np.count_nonzero(dist < 0.0))
+    return _BatchRun(
+        state, final, np.asarray(trace), np.asarray(energies), stopped, float(sigmas[t]),
+        events, negative, {"assignment": assign_ns, "update": update_ns},
+    )
+
+
+def _coefficient_update(a: np.ndarray, c: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, int]:
+    """Neighborhood-weighted indicator means -> (coefficients, units skipped)."""
+    w = h[:, c]
+    denom = w.sum(axis=1)
+    alive = denom > EMPTY_UNIT_WEIGHT
+    new_a = a.copy()
+    new_a[alive] = w[alive] / denom[alive, None]
+    return new_a, int(np.count_nonzero(~alive))
+
+
 def _train_batch(
     n: int,
     matrix_dist,
@@ -150,53 +235,15 @@ def _train_batch(
     stop_on_stable_assignment: bool,
     init_mode: str,
 ) -> CoefficientSOMResult:
-    """Generic batch engine; matrix_dist(alphas) -> N x K distances."""
-    if sigma_start is None:
-        sigma_start = default_sigma_start(lattice)
-    sigmas = DecaySchedule(sigma_start, sigma_end, n_iter, sigma_mode).values()
-    rng = np.random.default_rng(seed)
-    a = _init_coefficients(n, lattice.n_units, rng, init_mode)
-
-    trace: list[np.ndarray] = []
-    energies: list[float] = []
-    negative = 0
-    empty_events = 0
-    assign_ns = 0
-    update_ns = 0
-    stopped = False
-    prev = None
-    for t in range(n_iter):
-        h = lattice.neighborhood(sigmas[t])
-        t0 = time.perf_counter_ns()
-        dist = matrix_dist(a)
-        c = np.argmin(dist, axis=1)
-        t1 = time.perf_counter_ns()
-        assign_ns += t1 - t0
-        negative += int(np.count_nonzero(dist < 0.0))
-        trace.append(c)
-        energies.append(map_energy(dist, c, h))
-        if stop_on_stable_assignment and prev is not None and np.array_equal(c, prev):
-            stopped = True
-            break
-        prev = c
-        t2 = time.perf_counter_ns()
-        w = h[:, c]
-        denom = w.sum(axis=1)
-        alive = denom > EMPTY_UNIT_WEIGHT
-        empty_events += int(np.count_nonzero(~alive))
-        new_a = a.copy()
-        new_a[alive] = w[alive] / denom[alive, None]
-        a = new_a
-        update_ns += time.perf_counter_ns() - t2
-
-    t0 = time.perf_counter_ns()
-    dist = matrix_dist(a)
-    final = np.argmin(dist, axis=1)
-    assign_ns += time.perf_counter_ns() - t0
-    negative += int(np.count_nonzero(dist < 0.0))
+    """Batch engine on coefficients; matrix_dist(alphas) -> N x K distances."""
+    run = _batch_loop(
+        lattice, n_iter, sigma_start, sigma_end, sigma_mode, stop_on_stable_assignment,
+        lambda: _init_coefficients(n, lattice.n_units, np.random.default_rng(seed), init_mode),
+        matrix_dist, _coefficient_update,
+    )
     return CoefficientSOMResult(
-        a, final, np.asarray(trace), np.asarray(energies), lattice, stopped,
-        negative, empty_events, {"assignment": assign_ns, "update": update_ns},
+        run.state, run.assignments, run.trace, run.energies, lattice, run.final_sigma,
+        run.stopped, run.negative, run.events, run.phase_ns,
     )
 
 
@@ -355,7 +402,7 @@ def _train_online(
         energies[e] = map_energy(dists, trace[e], h)
 
     return CoefficientSOMResult(
-        a, trace[-1].copy(), trace, energies, lattice, False, negative, 0,
+        a, trace[-1].copy(), trace, energies, lattice, float(sigmas[-1]), False, negative, 0,
         {"assignment": assign_ns, "update": update_ns}, drift,
     )
 
@@ -420,7 +467,7 @@ def _train_online_reference(
 
     final = np.argmin(matrix_dist(a), axis=1)
     return CoefficientSOMResult(
-        a, final, trace, energies, lattice, False, negative, 0,
+        a, final, trace, energies, lattice, float(sigmas[-1]), False, negative, 0,
         {"assignment": assign_ns, "update": update_ns},
     )
 

@@ -60,6 +60,7 @@ class STMPResult:
     assignments: np.ndarray  # N crisp argmax memberships
     trace: np.ndarray  # one row per outer step, columns TRACE_COLUMNS
     lattice: Lattice
+    final_sigma: float  # the fixed neighborhood radius
 
 
 def power_iteration(values: np.ndarray, tol: float = 1e-8, max_iters: int = 10_000) -> float:
@@ -144,7 +145,9 @@ def mean_field(d_values: np.ndarray, b: np.ndarray, h: np.ndarray) -> np.ndarray
 
 
 def _entropy(gamma: np.ndarray) -> float:
-    return float(-np.sum(np.where(gamma > 0.0, gamma * np.log(gamma), 0.0)))
+    # np.where evaluates both branches; the zeros it discards would warn
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(-np.sum(np.where(gamma > 0.0, gamma * np.log(gamma), 0.0)))
 
 
 def train_stmp(
@@ -191,5 +194,5 @@ def train_stmp(
     gamma = soft_update(e, last_beta)  # memberships consistent with the final field
     assignments = np.argmax(gamma, axis=1)
     return STMPResult(
-        gamma, e, mixing_coefficients(gamma, h), assignments, np.asarray(trace), lattice
+        gamma, e, mixing_coefficients(gamma, h), assignments, np.asarray(trace), lattice, sigma
     )

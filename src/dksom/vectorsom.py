@@ -24,6 +24,7 @@ class VectorSOMResult:
     assignment_trace: np.ndarray  # T x N, assignments used at each step (batch) or per epoch (online)
     energy_trace: np.ndarray  # T
     lattice: Lattice
+    final_sigma: float  # neighborhood radius of the last iteration or epoch
 
 
 def squared_distances_to_prototypes(points: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
@@ -90,7 +91,7 @@ def train_batch(
         m[alive] = (w[alive] @ x) / denom[alive, None]
 
     final = np.argmin(squared_distances_to_prototypes(x, m), axis=1)
-    return VectorSOMResult(m, final, trace, energies, lattice)
+    return VectorSOMResult(m, final, trace, energies, lattice, float(sigmas[-1]))
 
 
 def train_online(
@@ -133,4 +134,4 @@ def train_online(
         energies[e] = map_energy(dist, trace[e], h)
 
     final = np.argmin(squared_distances_to_prototypes(x, m), axis=1)
-    return VectorSOMResult(m, final, trace, energies, lattice)
+    return VectorSOMResult(m, final, trace, energies, lattice, float(sigmas[-1]))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dksom.cli import main, parse_config
+from dksom.cli import ALGORITHMS, INPUT_KINDS, main, parse_config
 from dksom.dismat import VectorDataset, save_matrix, squared_euclidean
 
 
@@ -48,6 +48,24 @@ def test_parse_config_bad_value(tmp_path):
     bad.write_text("grid.rows = two\n")
     with pytest.raises(ValueError, match="bad value"):
         parse_config(bad)
+
+
+@pytest.mark.parametrize("key, flags", [
+    ("algorithm", ["--input-kind", "dissimilarity"]),
+    ("input.kind", ["--algorithm", "median"]),
+    ("init.mode", ["--algorithm", "median", "--input-kind", "dissimilarity"]),
+    ("grid.topology", ["--algorithm", "median", "--input-kind", "dissimilarity"]),
+    ("schedule.mode", ["--algorithm", "stmp", "--input-kind", "dissimilarity"]),
+])
+def test_config_values_obey_flag_choices(fixtures, capsys, key, flags):
+    # median ignores init.mode and stmp ignores schedule.mode, so only the
+    # parser can reject them
+    cfg = fixtures["tmp"] / "choice.cfg"
+    cfg.write_text(f"grid.rows = 2\n{key} = bogus\n")
+    rc = main(["train", "--config", str(cfg), "--input", str(fixtures["dis"]),
+               "--out", str(fixtures["tmp"] / "no"), *flags])
+    assert rc == 1
+    assert f"choice.cfg:2: bad value 'bogus' for {key}" in capsys.readouterr().err
 
 
 def test_validate_prints_report(fixtures, capsys):
@@ -237,3 +255,48 @@ def test_umatrix_subcommand_round_trip(fixtures):
     redo = (prefix.parent / (prefix.name + ".csv")).read_text()
     original = (out / "umatrix.csv").read_text()
     assert redo == original
+
+
+def _write_inputs(directory, x):
+    """Vector, squared-distance and linear-kernel files for points x."""
+    directory.mkdir()
+    with open(directory / "x.csv", "w") as fh:
+        for row in x:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    save_matrix(squared_euclidean(VectorDataset.from_array(x)).values, directory / "d.csv")
+    save_matrix(x @ x.T, directory / "k.csv")
+    return {"vectors": directory / "x.csv", "dissimilarity": directory / "d.csv",
+            "kernel": directory / "k.csv"}
+
+
+@pytest.mark.parametrize("init_mode", ["indicator", "uniform"])
+@pytest.mark.parametrize("landmarks", [(), ("--nystrom-landmarks", "3")])
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_train_combination_runs_or_fails_cleanly(fixtures, capsys, algorithm, kind, landmarks,
+                                                  init_mode):
+    """On the 2x2 map (K=4): 40 points, N=1 and K > N (3 points)."""
+    tmp = fixtures["tmp"]
+    cases = {
+        "fixture": {"vectors": fixtures["vec"], "dissimilarity": fixtures["dis"],
+                    "kernel": fixtures["ker"]},
+        "n1": _write_inputs(tmp / "n1", np.array([[0.5, -1.0]])),
+        "k-gt-n": _write_inputs(tmp / "k-gt-n", np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])),
+    }
+    for case, paths in cases.items():
+        out = tmp / f"run-{case}"
+        rc = main(["train", "--config", str(fixtures["cfg"]), "--algorithm", algorithm,
+                   "--input", str(paths[kind]), "--input-kind", kind, "--out", str(out),
+                   "--init-mode", init_mode, *landmarks])
+        assert rc in (0, 1), (case, capsys.readouterr().err)
+        if rc != 0:
+            continue
+        n = len((out / "assignment.txt").read_text().split())
+        if (out / "coefficients.csv").exists():
+            coeffs = np.loadtxt(out / "coefficients.csv", delimiter=",", ndmin=2)
+            assert coeffs.shape == (4, n)
+            assert np.max(np.abs(coeffs.sum(axis=1) - 1.0)) < 1e-12, case
+            assert coeffs.min() >= 0.0, case
+        if algorithm == "median" and n >= 4:
+            protos = (out / "prototype_indices.txt").read_text().split()
+            assert len(set(protos)) == 4, case

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from dksom.lattice import Lattice
 from dksom.stmp import (
     AnnealingSchedule,
     PowerIterationError,
+    _entropy,
     critical_beta,
     default_annealing,
     mean_field,
@@ -140,3 +143,9 @@ def test_train_stmp_deterministic():
     r2 = train_stmp(d, lat, sigma=0.6, seed=13)
     assert np.array_equal(r1.gamma, r2.gamma)
     assert np.array_equal(r1.trace, r2.trace)
+
+
+def test_entropy_of_underflowed_memberships_is_silent():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _entropy(np.array([[1.0, 0.0]])) == 0.0
