@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -114,23 +115,10 @@ def _effective_config(args) -> dict:
     return cfg
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
-
-
 def _write_json(payload: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2)
+        # NumPy arrays and scalars (json takes float64 as float) become Python values
+        json.dump(payload, fh, indent=2, default=lambda obj: obj.tolist())
         fh.write("\n")
 
 
@@ -163,12 +151,24 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _train_dispatch(cfg, data, kind, lattice):
-    """Run the configured algorithm; returns (result, dissimilarity view of the
-    input, landmark report or None).
+@dataclass
+class _Run:
+    """What one training run hands to cmd_train to write."""
 
-    Trainers are looked up in their modules at call time, so that a
-    rebinding of a module attribute (perfbench/spans.py) reaches them.
+    result: object  # has assignments and final_sigma
+    dm: object  # dissimilarity view of the input
+    protos: np.ndarray | None  # median indices or coefficient rows; None: result.prototypes
+    files: dict  # artifact key -> (file name, values[, CSV header])
+    fields: dict  # the family's report fields
+    criterion_trace: np.ndarray  # one value per iteration, epoch or outer step
+
+
+def _train(cfg, data, kind, lattice) -> _Run:
+    """Run the configured algorithm and gather what cmd_train writes.
+
+    This is the only place that branches on the algorithm family. Trainers
+    are looked up in their modules at call time, so that a rebinding of a
+    module attribute (perfbench/spans.py) reaches them.
     """
     alg = cfg["algorithm"]
     online = alg.endswith("online")
@@ -184,43 +184,64 @@ def _train_dispatch(cfg, data, kind, lattice):
         raise ValueError("vector input required for classic algorithms")
     if alg.startswith("kernel") and kind != "kernel":
         raise ValueError("kernel input required for kernel algorithms")
-    if landmarks is not None and alg in ("median", "stmp"):
+    if landmarks is not None and not alg.startswith(("relational", "kernel")):
         raise ValueError("landmark acceleration applies to relational/kernel algorithms only")
     dm = _dissimilarity_for(data, kind)
 
     if alg.startswith("classic"):
         train = vectorsom.train_online if online else vectorsom.train_batch
-        return train(data, lattice, **schedule), dm, None
+        result = train(data, lattice, **schedule)
+        return _Run(result, dm, None, {"prototypes": ("prototypes.csv", result.prototypes)},
+                    {}, result.energy_trace)
     if alg == "median":
-        return mediansom.train_batch_median(dm, lattice, **schedule), dm, None
+        result = mediansom.train_batch_median(dm, lattice, **schedule)
+        fields = {key: getattr(result, key) for key in
+                  ("collisions_detected", "collisions_unresolved", "stopped_early")}
+        return _Run(result, dm, result.prototype_indices,
+                    {"prototypes": ("prototype_indices.txt", result.prototype_indices)},
+                    fields, result.energy_trace)
     if alg == "stmp":
+        if (cfg["beta0"] is None) != (cfg["beta_max"] is None):
+            raise ValueError("stmp.beta0 and stmp.beta_max must be set together")
+        tuning = {key: cfg[key] for key in ("beta_factor", "inner_tol", "inner_max_iters")}
+        if cfg["beta0"] is None:
+            annealing = replace(stmp.default_annealing(dm), **tuning)
+        else:
+            annealing = stmp.AnnealingSchedule(cfg["beta0"], beta_max=cfg["beta_max"], **tuning)
         sigma = cfg["sigma0"] if cfg["sigma0"] is not None else 1.0
-        sched = None
-        if cfg["beta0"] is not None or cfg["beta_max"] is not None:
-            if cfg["beta0"] is None or cfg["beta_max"] is None:
-                raise ValueError("stmp.beta0 and stmp.beta_max must be set together")
-            sched = stmp.AnnealingSchedule(cfg["beta0"], cfg["beta_factor"], cfg["beta_max"],
-                                           cfg["inner_tol"], cfg["inner_max_iters"])
-        result = stmp.train_stmp(dm, lattice, sigma=sigma, annealing=sched, seed=cfg["seed"])
-        return result, dm, None
+        result = stmp.train_stmp(dm, lattice, sigma=sigma, annealing=annealing, seed=cfg["seed"])
+        protos = result.mixing.T
+        files = {"gamma": ("gamma.csv", result.gamma),
+                 "trace": ("trace.csv", result.trace, ",".join(stmp.TRACE_COLUMNS)),
+                 "prototypes": ("coefficients.csv", protos)}
+        fields = {"outer_steps": result.trace.shape[0], "entropy_trace": result.trace[:, 3]}
+        return _Run(result, dm, protos, files, fields, result.trace[:, 2])  # max |delta e|
 
     schedule.update(init_mode=cfg["init_mode"])
     if landmarks is None:
         if alg.startswith("kernel"):
             train = relsom.train_online_kernel if online else relsom.train_batch_kernel
-            return train(data, lattice, **schedule), dm, None
-        train = relsom.train_online_relational if online else relsom.train_batch_relational
-        return train(dm, lattice, **schedule), dm, None
-
-    nseed = cfg["nystrom_seed"]
-    if kind == "kernel":
-        source, factor = data, nystrom.nystrom_fit(data, landmarks, seed=nseed)
+            result = train(data, lattice, **schedule)
+        else:
+            train = relsom.train_online_relational if online else relsom.train_batch_relational
+            result = train(dm, lattice, **schedule)
     else:
-        source, factor = dm, nystrom.nystrom_fit_dissimilarity(dm, landmarks, seed=nseed)
-    train = nystrom.train_online_approx if online else nystrom.train_batch_approx
-    result = train(factor, lattice, **schedule)
-    sample = nystrom.sample_reconstruction_error(factor, source.values, seed=nseed)
-    return result, dm, {"landmarks": landmarks, "seed": nseed, "rank": factor.rank, **sample}
+        nseed = cfg["nystrom_seed"]
+        if kind == "kernel":
+            source, factor = data, nystrom.nystrom_fit(data, landmarks, seed=nseed)
+        else:
+            source, factor = dm, nystrom.nystrom_fit_dissimilarity(dm, landmarks, seed=nseed)
+        train = nystrom.train_online_approx if online else nystrom.train_batch_approx
+        result = train(factor, lattice, **schedule)
+        sample = nystrom.sample_reconstruction_error(factor, source.values, seed=nseed)
+    fields = {key: getattr(result, key) for key in
+              ("negative_distances", "empty_unit_events", "stopped_early", "resync_drift_max")}
+    fields["phase_timing_ns"] = result.phase_ns
+    if landmarks is not None:
+        fields["nystrom"] = {"landmarks": landmarks, "seed": nseed, "rank": factor.rank, **sample}
+    return _Run(result, dm, result.coefficients,
+                {"prototypes": ("coefficients.csv", result.coefficients)},
+                fields, result.energy_trace)
 
 
 def cmd_train(args) -> int:
@@ -235,87 +256,46 @@ def cmd_train(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter_ns()
-    result, dm, landmark_report = _train_dispatch(cfg, data, cfg["input_kind"], lattice)
+    run = _train(cfg, data, cfg["input_kind"], lattice)
     wall_ns = time.perf_counter_ns() - t0
 
-    alg = cfg["algorithm"]
-    artifacts = {}
+    result = run.result
     report = {
         "config": {k: cfg[k] for k in sorted(cfg)},
         "n": data.n,
         "k_units": lattice.n_units,
         "wall_ns": wall_ns,
+        **run.fields,
+        "iterations_executed": len(run.criterion_trace),
     }
+    artifacts = {}
+    files = {"assignment": ("assignment.txt", result.assignments), **run.files}
+    for key, (name, values, *header) in files.items():
+        save = save_vector if np.ndim(values) == 1 else save_matrix
+        save(values, outdir / name, *header)
+        artifacts[key] = str(outdir / name)
 
-    assignments = result.assignments
-    save_vector(assignments, outdir / "assignment.txt")
-    artifacts["assignment"] = str(outdir / "assignment.txt")
-
-    if alg == "stmp":
-        executed = result.trace.shape[0]
-        save_matrix(result.gamma, outdir / "gamma.csv")
-        artifacts["gamma"] = str(outdir / "gamma.csv")
-        with open(outdir / "trace.csv", "w") as fh:
-            fh.write("# " + ",".join(stmp.TRACE_COLUMNS) + "\n")
-            for row in result.trace:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-        artifacts["trace"] = str(outdir / "trace.csv")
-        protos = result.mixing.T
-        save_matrix(protos, outdir / "coefficients.csv")
-        artifacts["prototypes"] = str(outdir / "coefficients.csv")
-        report["outer_steps"] = executed
-    elif alg == "median":
-        executed = result.energy_trace.shape[0]
-        save_vector(result.prototype_indices, outdir / "prototype_indices.txt")
-        artifacts["prototypes"] = str(outdir / "prototype_indices.txt")
-        protos = result.prototype_indices
-        report["collisions_detected"] = result.collisions_detected
-        report["collisions_unresolved"] = result.collisions_unresolved
-        report["stopped_early"] = result.stopped_early
-    elif alg.startswith("classic"):
-        executed = result.energy_trace.shape[0]
-        save_matrix(result.prototypes, outdir / "prototypes.csv")
-        artifacts["prototypes"] = str(outdir / "prototypes.csv")
-        protos = None
-    else:
-        executed = result.energy_trace.shape[0]
-        save_matrix(result.coefficients, outdir / "coefficients.csv")
-        artifacts["prototypes"] = str(outdir / "coefficients.csv")
-        protos = result.coefficients
-        report["negative_distances"] = result.negative_distances
-        report["empty_unit_events"] = result.empty_unit_events
-        report["stopped_early"] = result.stopped_early
-        report["phase_timing_ns"] = result.phase_ns
-        report["resync_drift_max"] = result.resync_drift_max
-
-    report["iterations_executed"] = executed
     h = lattice.neighborhood(result.final_sigma)
-
-    if alg.startswith("classic"):
-        dist = vectorsom.squared_distances_to_prototypes(data.points, result.prototypes)
-        report["final_quantization_cost"] = vectorsom.map_energy(dist, assignments, h)
-        report["final_clustering_cost"] = quality.clustering_cost(dm.values, assignments, h)
-        pairwise = vectorsom.squared_distances_to_prototypes(result.prototypes, result.prototypes)
+    if run.protos is None:  # vector prototypes: quantize the vectors themselves
+        vectors = result.prototypes
+        dist = vectorsom.squared_distances_to_prototypes(data.points, vectors)
+        report["final_quantization_cost"] = vectorsom.map_energy(dist, result.assignments, h)
+        report["final_clustering_cost"] = quality.clustering_cost(run.dm.values,
+                                                                  result.assignments, h)
+        pairwise = vectorsom.squared_distances_to_prototypes(vectors, vectors)
         grid = quality.umatrix_from_pairwise(pairwise, lattice)
-        report["criterion_trace"] = result.energy_trace.tolist()
     else:
-        crep = quality.criterion_report(dm.values, protos, assignments, h)
+        crep = quality.criterion_report(run.dm.values, run.protos, result.assignments, h)
         report["final_quantization_cost"] = crep.quantization_cost
         report["final_clustering_cost"] = crep.clustering_cost
-        report["per_unit_sizes"] = crep.per_unit_sizes.tolist()
-        grid = quality.umatrix(protos, dm.values, lattice)
-        if alg == "stmp":
-            report["criterion_trace"] = result.trace[:, 2].tolist()  # max |delta e| per outer step
-            report["entropy_trace"] = result.trace[:, 3].tolist()
-        else:
-            report["criterion_trace"] = result.energy_trace.tolist()
+        report["per_unit_sizes"] = crep.per_unit_sizes
+        grid = quality.umatrix(run.protos, run.dm.values, lattice)
+    report["criterion_trace"] = run.criterion_trace
 
     quality.save_umatrix_csv(grid, outdir / "umatrix.csv")
     quality.save_umatrix_pgm(grid, outdir / "umatrix.pgm")
     artifacts["umatrix_csv"] = str(outdir / "umatrix.csv")
     artifacts["umatrix_pgm"] = str(outdir / "umatrix.pgm")
-    if landmark_report is not None:
-        report["nystrom"] = landmark_report
 
     report["artifacts"] = artifacts
     _write_json(report, outdir / "report.json")

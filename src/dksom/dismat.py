@@ -228,13 +228,16 @@ def load_array(path) -> np.ndarray:
     return np.asarray(_parse_csv_rows(path), dtype=float)
 
 
-def save_matrix(values: np.ndarray, path) -> None:
-    """Write a matrix as CSV with shortest round-trip float formatting.
+def save_matrix(values: np.ndarray, path, header: str | None = None) -> None:
+    """Write a matrix as CSV with shortest round-trip float formatting,
+    after an optional '# header' line.
 
     load -> save -> load reproduces values bit for bit.
     """
     arr = np.asarray(values, dtype=float)
     with open(path, "w") as fh:
+        if header is not None:
+            fh.write(f"# {header}\n")
         for row in np.atleast_2d(arr):
             fh.write(",".join(repr(float(v)) for v in row))
             fh.write("\n")

@@ -50,6 +50,8 @@ class AnnealingSchedule:
             raise ValueError(f"need beta0 < beta_max, got {self.beta0} >= {self.beta_max}")
         if self.inner_tol <= 0.0:
             raise ValueError("inner_tol must be positive")
+        if self.inner_max_iters < 1:
+            raise ValueError(f"inner_max_iters must be at least 1, got {self.inner_max_iters}")
 
 
 @dataclass

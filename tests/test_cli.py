@@ -5,6 +5,7 @@ import pytest
 
 from dksom.cli import ALGORITHMS, INPUT_KINDS, main, parse_config
 from dksom.dismat import VectorDataset, save_matrix, squared_euclidean
+from dksom.nystrom import double_center
 
 
 @pytest.fixture()
@@ -235,6 +236,33 @@ def test_nystrom_rejected_for_median(fixtures, capsys):
     assert "relational/kernel" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algorithm", ["classic-batch", "classic-online", "stmp"])
+def test_nystrom_rejected_outside_relational_and_kernel(fixtures, capsys, algorithm):
+    rc = main(["train", "--config", str(fixtures["cfg"]), "--algorithm", algorithm,
+               "--input", str(fixtures["vec"]), "--input-kind", "vectors",
+               "--out", str(fixtures["tmp"] / "no"), "--nystrom-landmarks", "10"])
+    assert rc == 1
+    assert "relational/kernel" in capsys.readouterr().err
+
+
+def test_stmp_annealing_settings_take_effect_without_beta_range(fixtures, capsys):
+    base = ["train", "--algorithm", "stmp", "--input", str(fixtures["dis"]),
+            "--input-kind", "dissimilarity", "--rows", "2", "--cols", "2"]
+
+    def trace(name, *flags):
+        out = fixtures["tmp"] / name
+        assert main([*base, "--out", str(out), *flags]) == 0
+        return np.loadtxt(out / "trace.csv", delimiter=",", ndmin=2)
+
+    assert len(trace("factor", "--beta-factor", "1.5")) < len(trace("default"))
+    assert np.all(trace("capped", "--inner-max-iters", "1")[:, 1] == 1)  # inner_iterations
+    for flags in (["--beta-factor", "1"], ["--inner-max-iters", "0"]):
+        assert main([*base, "--out", str(fixtures["tmp"] / "no"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert "beta_factor must exceed 1" in err
+    assert "inner_max_iters must be at least 1" in err
+
+
 def test_verify_fast_suites_exit_0(capsys):
     assert main(["verify", "kh"]) == 0
     assert main(["verify", "triangle"]) == 0
@@ -275,13 +303,18 @@ def _write_inputs(directory, x):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_train_combination_runs_or_fails_cleanly(fixtures, capsys, algorithm, kind, landmarks,
                                                   init_mode):
-    """On the 2x2 map (K=4): 40 points, N=1 and K > N (3 points)."""
+    """On the 2x2 map (K=4): 40 points, N=1, K > N (3 points), 4 points each
+    repeated 3 times, and the 40 points scaled by 1e-3 (D by 1e-6)."""
     tmp = fixtures["tmp"]
     cases = {
         "fixture": {"vectors": fixtures["vec"], "dissimilarity": fixtures["dis"],
                     "kernel": fixtures["ker"]},
         "n1": _write_inputs(tmp / "n1", np.array([[0.5, -1.0]])),
         "k-gt-n": _write_inputs(tmp / "k-gt-n", np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])),
+        "ties": _write_inputs(tmp / "ties", np.repeat(
+            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 3.0]]), 3, axis=0)),
+        "scaled": _write_inputs(tmp / "scaled",
+                                1e-3 * np.loadtxt(fixtures["vec"], delimiter=",")),
     }
     for case, paths in cases.items():
         out = tmp / f"run-{case}"
@@ -300,3 +333,26 @@ def test_train_combination_runs_or_fails_cleanly(fixtures, capsys, algorithm, ki
         if algorithm == "median" and n >= 4:
             protos = (out / "prototype_indices.txt").read_text().split()
             assert len(set(protos)) == 4, case
+
+
+@pytest.mark.parametrize("init_mode", ["indicator", "uniform"])
+@pytest.mark.parametrize("flags", [(), ("--sigma0", "0.001", "--sigma-final", "0.0001"),
+                                   ("--nystrom-landmarks", "3")],
+                         ids=["plain", "tiny-sigma", "landmarks"])
+@pytest.mark.parametrize("algorithm", ["median", "relational-batch", "relational-online", "stmp"])
+def test_train_on_constant_and_non_euclidean_dissimilarity(fixtures, capsys, algorithm, flags,
+                                                           init_mode):
+    """Every algorithm that takes dissimilarity input, on a constant off-diagonal D
+    and on a uniform random D that no point configuration embeds."""
+    n = 12
+    upper = np.triu(np.random.default_rng(7).uniform(size=(n, n)), 1)
+    matrices = {"constant": 1.0 - np.eye(n), "non-euclidean": upper + upper.T}
+    assert np.linalg.eigvalsh(double_center(matrices["non-euclidean"])).min() < -1e-9
+    for name, d in matrices.items():
+        path = fixtures["tmp"] / f"{name}.csv"
+        save_matrix(d, path)
+        rc = main(["train", "--config", str(fixtures["cfg"]), "--algorithm", algorithm,
+                   "--input", str(path), "--input-kind", "dissimilarity",
+                   "--out", str(fixtures["tmp"] / f"run-{name}"), "--init-mode", init_mode,
+                   *flags])
+        assert rc in (0, 1), (name, capsys.readouterr().err)
