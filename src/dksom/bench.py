@@ -50,7 +50,7 @@ import time
 import numpy as np
 
 from .dismat import VectorDataset, squared_euclidean
-from .lattice import Lattice
+from .lattice import Lattice, Schedule
 from .mediansom import median_update
 from .relsom import _relational_row_dist, _train_online_reference, relational_distances
 
@@ -148,12 +148,12 @@ def _slice_fn(fx: dict, lattice: Lattice, sigma: float, seed: int, m: int):
     recomputes A D at every presentation, so that is the code timed here.
     """
     d = fx["d"]
+    schedule = Schedule(1, sigma, sigma, "fixed", seed=seed)
 
     def run():
         _train_online_reference(
             d.shape[0], _relational_row_dist(d), lambda a: relational_distances(d, a),
-            lattice, 1, sigma_start=sigma, sigma_end=sigma, sigma_mode="fixed",
-            seed=seed, presentations_per_epoch=m,
+            lattice, schedule, presentations_per_epoch=m,
         )
 
     return run

@@ -30,7 +30,7 @@ from .dismat import (
     squared_euclidean,
     validate,
 )
-from .lattice import Lattice
+from .lattice import Lattice, Schedule
 from .verify import run_suite
 
 ALGORITHMS = (
@@ -172,12 +172,8 @@ def _train(cfg, data, kind, lattice) -> _Run:
     """
     alg = cfg["algorithm"]
     online = alg.endswith("online")
-    schedule = dict(sigma_start=cfg["sigma0"], sigma_end=cfg["sigma_final"],
-                    sigma_mode=cfg["schedule_mode"], seed=cfg["seed"])
-    if online:
-        schedule.update(n_epochs=cfg["t_max"], eps_start=cfg["eps0"], eps_end=cfg["eps_final"])
-    else:
-        schedule.update(n_iter=cfg["t_max"])
+    schedule = Schedule(cfg["t_max"], cfg["sigma0"], cfg["sigma_final"], cfg["schedule_mode"],
+                        cfg["eps0"], cfg["eps_final"], cfg["seed"])
     landmarks = cfg["nystrom_landmarks"]
 
     if alg.startswith("classic") and kind != "vectors":
@@ -190,11 +186,11 @@ def _train(cfg, data, kind, lattice) -> _Run:
 
     if alg.startswith("classic"):
         train = vectorsom.train_online if online else vectorsom.train_batch
-        result = train(data, lattice, **schedule)
+        result = train(data, lattice, schedule)
         return _Run(result, dm, None, {"prototypes": ("prototypes.csv", result.prototypes)},
                     {}, result.energy_trace)
     if alg == "median":
-        result = mediansom.train_batch_median(dm, lattice, **schedule)
+        result = mediansom.train_batch_median(dm, lattice, schedule)
         fields = {key: getattr(result, key) for key in
                   ("collisions_detected", "collisions_unresolved", "stopped_early")}
         return _Run(result, dm, result.prototype_indices,
@@ -217,14 +213,14 @@ def _train(cfg, data, kind, lattice) -> _Run:
         fields = {"outer_steps": result.trace.shape[0], "entropy_trace": result.trace[:, 3]}
         return _Run(result, dm, protos, files, fields, result.trace[:, 2])  # max |delta e|
 
-    schedule.update(init_mode=cfg["init_mode"])
+    init_mode = cfg["init_mode"]
     if landmarks is None:
         if alg.startswith("kernel"):
             train = relsom.train_online_kernel if online else relsom.train_batch_kernel
-            result = train(data, lattice, **schedule)
+            result = train(data, lattice, schedule, init_mode=init_mode)
         else:
             train = relsom.train_online_relational if online else relsom.train_batch_relational
-            result = train(dm, lattice, **schedule)
+            result = train(dm, lattice, schedule, init_mode=init_mode)
     else:
         nseed = cfg["nystrom_seed"]
         if kind == "kernel":
@@ -232,7 +228,7 @@ def _train(cfg, data, kind, lattice) -> _Run:
         else:
             source, factor = dm, nystrom.nystrom_fit_dissimilarity(dm, landmarks, seed=nseed)
         train = nystrom.train_online_approx if online else nystrom.train_batch_approx
-        result = train(factor, lattice, **schedule)
+        result = train(factor, lattice, schedule, init_mode=init_mode)
         sample = nystrom.sample_reconstruction_error(factor, source.values, seed=nseed)
     fields = {key: getattr(result, key) for key in
               ("negative_distances", "empty_unit_events", "stopped_early", "resync_drift_max")}

@@ -1,4 +1,5 @@
-"""Map lattice geometry, Gaussian neighborhood weights, annealing schedules."""
+"""Map lattice geometry, Gaussian neighborhood weights, and the training
+schedule every SOM trainer shares (Schedule)."""
 
 from __future__ import annotations
 
@@ -56,6 +57,8 @@ class Lattice:
         """K x K matrix h_kl = exp(-||r_k - r_l||^2 / (2 sigma^2))."""
         if sigma <= 0.0:
             raise ValueError(f"sigma must be positive, got {sigma}")
+        if not np.isfinite(sigma):
+            raise ValueError(f"sigma must be finite, got {sigma}")
         return np.exp(self._sqdist / (-2.0 * sigma * sigma))
 
 
@@ -88,6 +91,8 @@ class DecaySchedule:
             raise ValueError(f"schedule endpoints must be positive, got {self.start} -> {self.final}")
         if self.final > self.start:
             raise ValueError(f"schedule must be non-increasing, got {self.start} -> {self.final}")
+        if not (np.isfinite(self.start) and np.isfinite(self.final)):
+            raise ValueError(f"schedule endpoints must be finite, got {self.start} -> {self.final}")
         if self.mode not in ("exponential_decay", "fixed"):
             raise ValueError(f"unknown schedule mode {self.mode!r}")
 
@@ -100,3 +105,35 @@ class DecaySchedule:
 
     def values(self) -> np.ndarray:
         return np.array([self.value_at(t) for t in range(self.t_max)])
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """What every trainer shares: its step count, sigma(t), eps(t) and seed.
+
+    steps counts batch iterations or online epochs. sigma_start=None means
+    default_sigma_start(lattice). Nothing is checked on construction:
+    sigmas() and epsilons() validate when a trainer asks for them, and only
+    the online trainers ask for epsilons.
+    """
+
+    steps: int
+    sigma_start: float | None = None
+    sigma_end: float = DEFAULT_SIGMA_END
+    sigma_mode: str = "exponential_decay"
+    eps_start: float = 0.5
+    eps_end: float = 0.01
+    seed: int = 0
+
+    def sigmas(self, lattice: Lattice) -> np.ndarray:
+        start = default_sigma_start(lattice) if self.sigma_start is None else self.sigma_start
+        return DecaySchedule(start, self.sigma_end, self.steps, self.sigma_mode).values()
+
+    def epsilons(self) -> np.ndarray:
+        """Exponential decay whatever sigma_mode is. eps_start must not exceed 1,
+        so that an online update stays a convex blend; DecaySchedule's own
+        checks come first, so an input it rejects keeps its message."""
+        values = DecaySchedule(self.eps_start, self.eps_end, self.steps).values()
+        if self.eps_start > 1.0:
+            raise ValueError(f"learning rate must not exceed 1, got eps_start={self.eps_start}")
+        return values

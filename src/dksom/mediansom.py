@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import DEFAULT_SIGMA_END, Lattice
+from .lattice import Lattice, Schedule
 from .relsom import _batch_loop
 
 
@@ -95,25 +95,21 @@ def median_update(
 def train_batch_median(
     dismatrix,
     lattice: Lattice,
-    n_iter: int = 50,
-    sigma_start: float | None = None,
-    sigma_end: float = DEFAULT_SIGMA_END,
-    sigma_mode: str = "exponential_decay",
-    seed: int = 0,
+    schedule: Schedule,
     stop_on_stable_assignment: bool = True,
 ) -> MedianSOMResult:
     """Batch median SOM on a dissimilarity matrix.
 
-    Runs until the assignment repeats or n_iter is reached. Prototypes are
-    seeded from a without-replacement draw when K <= N and with replacement
-    otherwise (the run then necessarily carries duplicate prototypes,
-    reported via collisions_unresolved).
+    Runs until the assignment repeats or schedule.steps is reached.
+    Prototypes are seeded from a without-replacement draw when K <= N and
+    with replacement otherwise (the run then necessarily carries duplicate
+    prototypes, reported via collisions_unresolved).
     """
     d = dismatrix.values
     n, k = d.shape[0], lattice.n_units
     run = _batch_loop(
-        lattice, n_iter, sigma_start, sigma_end, sigma_mode, stop_on_stable_assignment,
-        lambda: np.random.default_rng(seed).choice(n, size=k, replace=k > n),
+        lattice, schedule, stop_on_stable_assignment,
+        lambda rng: rng.choice(n, size=k, replace=k > n),
         lambda protos: d[:, protos], lambda protos, c, h: median_update(d, c, h)[:2],
     )
     return MedianSOMResult(

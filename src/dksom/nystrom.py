@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import DEFAULT_SIGMA_END, Lattice
+from .lattice import Lattice, Schedule
 from .relsom import (
     CoefficientSOMResult,
     _check_coefficients,
@@ -178,35 +178,20 @@ class _LandmarkState:
 def train_batch_approx(
     factor: NystromFactor,
     lattice: Lattice,
-    n_iter: int = 50,
-    sigma_start: float | None = None,
-    sigma_end: float = DEFAULT_SIGMA_END,
-    sigma_mode: str = "exponential_decay",
-    seed: int = 0,
+    schedule: Schedule,
     stop_on_stable_assignment: bool = True,
     init_mode: str = "indicator",
 ) -> CoefficientSOMResult:
     """Batch relational SOM with all distances served by the factor."""
-    return _train_batch(
-        factor.n, lambda a: approx_relational_distances(factor, a), lattice, n_iter,
-        sigma_start, sigma_end, sigma_mode, seed, stop_on_stable_assignment, init_mode,
-    )
+    return _train_batch(factor.n, lambda a: approx_relational_distances(factor, a), lattice,
+                        schedule, stop_on_stable_assignment, init_mode)
 
 
 def train_online_approx(
     factor: NystromFactor,
     lattice: Lattice,
-    n_epochs: int = 20,
-    sigma_start: float | None = None,
-    sigma_end: float = DEFAULT_SIGMA_END,
-    sigma_mode: str = "exponential_decay",
-    eps_start: float = 0.5,
-    eps_end: float = 0.01,
-    seed: int = 0,
+    schedule: Schedule,
     init_mode: str = "indicator",
 ) -> CoefficientSOMResult:
     """Stochastic relational SOM whose distances cost O(K m) per presentation."""
-    return _train_online(
-        _LandmarkState(factor), lattice, n_epochs, sigma_start, sigma_end,
-        sigma_mode, eps_start, eps_end, seed, init_mode,
-    )
+    return _train_online(_LandmarkState(factor), lattice, schedule, init_mode)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dismat import kernel_to_dissimilarity
-from .lattice import DEFAULT_SIGMA_END, DecaySchedule, Lattice, default_sigma_start
+from .lattice import Lattice, Schedule
 from .vectorsom import EMPTY_UNIT_WEIGHT, map_energy
 
 COEFF_SUM_TOL = 1e-12
@@ -156,10 +156,7 @@ class _BatchRun:
 
 def _batch_loop(
     lattice: Lattice,
-    n_iter: int,
-    sigma_start: float | None,
-    sigma_end: float,
-    sigma_mode: str,
+    schedule: Schedule,
     stop_on_stable_assignment: bool,
     init,
     distances,
@@ -171,12 +168,11 @@ def _batch_loop(
     distances(state) (N x K), records the assignments and the map energy,
     stops if the assignments repeat, and otherwise moves to the state of
     update(state, assignments, h) -> (state, count of events). The state
-    starts as init(), called after the schedule is validated.
+    starts as init(rng), called with the schedule's seeded generator after
+    its sigmas are validated.
     """
-    if sigma_start is None:
-        sigma_start = default_sigma_start(lattice)
-    sigmas = DecaySchedule(sigma_start, sigma_end, n_iter, sigma_mode).values()
-    state = init()
+    sigmas = schedule.sigmas(lattice)
+    state = init(np.random.default_rng(schedule.seed))
 
     trace: list[np.ndarray] = []
     energies: list[float] = []
@@ -185,7 +181,7 @@ def _batch_loop(
     assign_ns = 0
     update_ns = 0
     stopped = False
-    for t in range(n_iter):
+    for t in range(schedule.steps):
         h = lattice.neighborhood(sigmas[t])
         t0 = time.perf_counter_ns()
         dist = distances(state)
@@ -227,18 +223,14 @@ def _train_batch(
     n: int,
     matrix_dist,
     lattice: Lattice,
-    n_iter: int,
-    sigma_start: float | None,
-    sigma_end: float,
-    sigma_mode: str,
-    seed: int,
+    schedule: Schedule,
     stop_on_stable_assignment: bool,
     init_mode: str,
 ) -> CoefficientSOMResult:
     """Batch engine on coefficients; matrix_dist(alphas) -> N x K distances."""
     run = _batch_loop(
-        lattice, n_iter, sigma_start, sigma_end, sigma_mode, stop_on_stable_assignment,
-        lambda: _init_coefficients(n, lattice.n_units, np.random.default_rng(seed), init_mode),
+        lattice, schedule, stop_on_stable_assignment,
+        lambda rng: _init_coefficients(n, lattice.n_units, rng, init_mode),
         matrix_dist, _coefficient_update,
     )
     return CoefficientSOMResult(
@@ -250,44 +242,32 @@ def _train_batch(
 def train_batch_relational(
     dismatrix,
     lattice: Lattice,
-    n_iter: int = 50,
-    sigma_start: float | None = None,
-    sigma_end: float = DEFAULT_SIGMA_END,
-    sigma_mode: str = "exponential_decay",
-    seed: int = 0,
+    schedule: Schedule,
     stop_on_stable_assignment: bool = True,
     init_mode: str = "indicator",
 ) -> CoefficientSOMResult:
     """Batch SOM on a dissimilarity matrix.
 
     Stops once the assignment repeats (pass stop_on_stable_assignment=False
-    to force the full n_iter iterations, e.g. for step-by-step comparison
-    against the vector trainer, which never stops early).
+    to force the full schedule.steps iterations, e.g. for step-by-step
+    comparison against the vector trainer, which never stops early).
     """
     d = dismatrix.values
-    return _train_batch(
-        d.shape[0], lambda a: relational_distances(d, a), lattice, n_iter,
-        sigma_start, sigma_end, sigma_mode, seed, stop_on_stable_assignment, init_mode,
-    )
+    return _train_batch(d.shape[0], lambda a: relational_distances(d, a), lattice, schedule,
+                        stop_on_stable_assignment, init_mode)
 
 
 def train_batch_kernel(
     kernel,
     lattice: Lattice,
-    n_iter: int = 50,
-    sigma_start: float | None = None,
-    sigma_end: float = DEFAULT_SIGMA_END,
-    sigma_mode: str = "exponential_decay",
-    seed: int = 0,
+    schedule: Schedule,
     stop_on_stable_assignment: bool = True,
     init_mode: str = "indicator",
 ) -> CoefficientSOMResult:
     """Batch SOM on a kernel matrix (distances via the kernel trick)."""
     k = kernel.values
-    return _train_batch(
-        k.shape[0], lambda a: kernel_distances(k, a), lattice, n_iter,
-        sigma_start, sigma_end, sigma_mode, seed, stop_on_stable_assignment, init_mode,
-    )
+    return _train_batch(k.shape[0], lambda a: kernel_distances(k, a), lattice, schedule,
+                        stop_on_stable_assignment, init_mode)
 
 
 class _DenseState:
@@ -318,13 +298,7 @@ class _DenseState:
 def _train_online(
     state,
     lattice: Lattice,
-    n_epochs: int,
-    sigma_start: float | None = None,
-    sigma_end: float = DEFAULT_SIGMA_END,
-    sigma_mode: str = "exponential_decay",
-    eps_start: float = 0.5,
-    eps_end: float = 0.01,
-    seed: int = 0,
+    schedule: Schedule,
     init_mode: str = "indicator",
     presentations_per_epoch: int | None = None,
 ) -> CoefficientSOMResult:
@@ -349,27 +323,25 @@ def _train_online(
     size (default: N draws per epoch, one pass in expectation).
     """
     n = state.rows.shape[0]
-    if sigma_start is None:
-        sigma_start = default_sigma_start(lattice)
     draws = n if presentations_per_epoch is None else int(presentations_per_epoch)
     if draws < 1:
         raise ValueError("presentations_per_epoch must be >= 1")
-    sigmas = DecaySchedule(sigma_start, sigma_end, n_epochs, sigma_mode).values()
-    epsilons = DecaySchedule(eps_start, eps_end, n_epochs).values()
-    rng = np.random.default_rng(seed)
+    sigmas = schedule.sigmas(lattice)
+    epsilons = schedule.epsilons()
+    rng = np.random.default_rng(schedule.seed)
     a = _init_coefficients(n, lattice.n_units, rng, init_mode)
 
     def dist(x, q, m_ii):
         return m_ii - 2.0 * x + q if state.kernel_form else x - 0.5 * q
 
-    trace = np.empty((n_epochs, n), dtype=np.int64)
-    energies = np.empty(n_epochs)
+    trace = np.empty((schedule.steps, n), dtype=np.int64)
+    energies = np.empty(schedule.steps)
     negative = 0
     assign_ns = 0
     update_ns = 0
     drift = 0.0
     g, q = state.exact(a)
-    for e in range(n_epochs):
+    for e in range(schedule.steps):
         h = lattice.neighborhood(sigmas[e])
         eps = epsilons[e]
         order = rng.integers(0, n, size=draws)
@@ -412,13 +384,7 @@ def _train_online_reference(
     row_dist,
     matrix_dist,
     lattice: Lattice,
-    n_epochs: int,
-    sigma_start: float | None = None,
-    sigma_end: float = DEFAULT_SIGMA_END,
-    sigma_mode: str = "exponential_decay",
-    eps_start: float = 0.5,
-    eps_end: float = 0.01,
-    seed: int = 0,
+    schedule: Schedule,
     init_mode: str = "indicator",
     presentations_per_epoch: int | None = None,
 ) -> CoefficientSOMResult:
@@ -430,22 +396,20 @@ def _train_online_reference(
     cost through bench._slice_fn, and the tests hold the incremental engine
     to its BMUs and coefficients.
     """
-    if sigma_start is None:
-        sigma_start = default_sigma_start(lattice)
     draws = n if presentations_per_epoch is None else int(presentations_per_epoch)
     if draws < 1:
         raise ValueError("presentations_per_epoch must be >= 1")
-    sigmas = DecaySchedule(sigma_start, sigma_end, n_epochs, sigma_mode).values()
-    epsilons = DecaySchedule(eps_start, eps_end, n_epochs).values()
-    rng = np.random.default_rng(seed)
+    sigmas = schedule.sigmas(lattice)
+    epsilons = schedule.epsilons()
+    rng = np.random.default_rng(schedule.seed)
     a = _init_coefficients(n, lattice.n_units, rng, init_mode)
 
-    trace = np.empty((n_epochs, n), dtype=np.int64)
-    energies = np.empty(n_epochs)
+    trace = np.empty((schedule.steps, n), dtype=np.int64)
+    energies = np.empty(schedule.steps)
     negative = 0
     assign_ns = 0
     update_ns = 0
-    for e in range(n_epochs):
+    for e in range(schedule.steps):
         h = lattice.neighborhood(sigmas[e])
         eps = epsilons[e]
         order = rng.integers(0, n, size=draws)
@@ -484,44 +448,26 @@ def _relational_row_dist(d_values: np.ndarray):
 def train_online_relational(
     dismatrix,
     lattice: Lattice,
-    n_epochs: int = 20,
-    sigma_start: float | None = None,
-    sigma_end: float = DEFAULT_SIGMA_END,
-    sigma_mode: str = "exponential_decay",
-    eps_start: float = 0.5,
-    eps_end: float = 0.01,
-    seed: int = 0,
+    schedule: Schedule,
     init_mode: str = "indicator",
 ) -> CoefficientSOMResult:
-    """Stochastic SOM on a dissimilarity matrix; always runs n_epochs epochs
-    of N presentations each.
+    """Stochastic SOM on a dissimilarity matrix; always runs schedule.steps
+    epochs of N presentations each.
 
     The update alpha_k += eps h(k, c) (e_i - alpha_k) is a convex blend with a
-    one-hot vector, so unit row sums and the [0, 1] entry range survive any
-    number of presentations.
+    one-hot vector (eps <= 1 is enforced by the schedule), so unit row sums
+    and the [0, 1] entry range survive any number of presentations.
     """
-    d = dismatrix.values
-    return _train_online(
-        _DenseState(d, kernel_form=False), lattice, n_epochs, sigma_start, sigma_end,
-        sigma_mode, eps_start, eps_end, seed, init_mode,
-    )
+    return _train_online(_DenseState(dismatrix.values, kernel_form=False), lattice, schedule,
+                         init_mode)
 
 
 def train_online_kernel(
     kernel,
     lattice: Lattice,
-    n_epochs: int = 20,
-    sigma_start: float | None = None,
-    sigma_end: float = DEFAULT_SIGMA_END,
-    sigma_mode: str = "exponential_decay",
-    eps_start: float = 0.5,
-    eps_end: float = 0.01,
-    seed: int = 0,
+    schedule: Schedule,
     init_mode: str = "indicator",
 ) -> CoefficientSOMResult:
     """Stochastic SOM on a kernel matrix."""
-    k = kernel.values
-    return _train_online(
-        _DenseState(k, kernel_form=True), lattice, n_epochs, sigma_start, sigma_end,
-        sigma_mode, eps_start, eps_end, seed, init_mode,
-    )
+    return _train_online(_DenseState(kernel.values, kernel_form=True), lattice, schedule,
+                         init_mode)

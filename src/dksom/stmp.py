@@ -52,6 +52,10 @@ class AnnealingSchedule:
             raise ValueError("inner_tol must be positive")
         if self.inner_max_iters < 1:
             raise ValueError(f"inner_max_iters must be at least 1, got {self.inner_max_iters}")
+        for name in ("beta0", "beta_factor", "beta_max", "inner_tol"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import DEFAULT_SIGMA_END, DecaySchedule, Lattice, default_sigma_start
+from .lattice import Lattice, Schedule
 
 # below this total neighborhood weight a unit's update is skipped
 EMPTY_UNIT_WEIGHT = 1e-300
@@ -53,33 +53,23 @@ def _init_prototypes(points: np.ndarray, n_units: int, rng: np.random.Generator)
     return points[idx].copy()
 
 
-def train_batch(
-    dataset,
-    lattice: Lattice,
-    n_iter: int = 50,
-    sigma_start: float | None = None,
-    sigma_end: float = DEFAULT_SIGMA_END,
-    sigma_mode: str = "exponential_decay",
-    seed: int = 0,
-) -> VectorSOMResult:
+def train_batch(dataset, lattice: Lattice, schedule: Schedule) -> VectorSOMResult:
     """Batch SOM: alternate best-unit assignment and neighborhood-weighted means.
 
     Prototypes are seeded from a without-replacement draw of data points.
     Iteration t records the assignments and energy computed *before* the
     prototype update, so trace entry t describes the map entering step t.
-    Always runs the full n_iter iterations.
+    Always runs the full schedule.steps iterations.
     """
     x = dataset.points
     k = lattice.n_units
-    if sigma_start is None:
-        sigma_start = default_sigma_start(lattice)
-    sigmas = DecaySchedule(sigma_start, sigma_end, n_iter, sigma_mode).values()
-    rng = np.random.default_rng(seed)
+    sigmas = schedule.sigmas(lattice)
+    rng = np.random.default_rng(schedule.seed)
     m = _init_prototypes(x, k, rng)
 
-    trace = np.empty((n_iter, x.shape[0]), dtype=np.int64)
-    energies = np.empty(n_iter)
-    for t in range(n_iter):
+    trace = np.empty((schedule.steps, x.shape[0]), dtype=np.int64)
+    energies = np.empty(schedule.steps)
+    for t in range(schedule.steps):
         h = lattice.neighborhood(sigmas[t])
         dist = squared_distances_to_prototypes(x, m)
         c = np.argmin(dist, axis=1)
@@ -94,35 +84,24 @@ def train_batch(
     return VectorSOMResult(m, final, trace, energies, lattice, float(sigmas[-1]))
 
 
-def train_online(
-    dataset,
-    lattice: Lattice,
-    n_epochs: int = 20,
-    sigma_start: float | None = None,
-    sigma_end: float = DEFAULT_SIGMA_END,
-    sigma_mode: str = "exponential_decay",
-    eps_start: float = 0.5,
-    eps_end: float = 0.01,
-    seed: int = 0,
-) -> VectorSOMResult:
+def train_online(dataset, lattice: Lattice, schedule: Schedule) -> VectorSOMResult:
     """Stochastic SOM: one random point per step, all prototypes pulled toward it.
 
     sigma and the learning rate are held fixed within an epoch (N random
-    presentations, drawn with replacement) and decay geometrically across
-    epochs. Energy is evaluated once per epoch after its updates.
+    presentations, drawn with replacement) and follow the schedule across
+    its schedule.steps epochs. Energy is evaluated once per epoch after its
+    updates.
     """
     x = dataset.points
     n, k = x.shape[0], lattice.n_units
-    if sigma_start is None:
-        sigma_start = default_sigma_start(lattice)
-    sigmas = DecaySchedule(sigma_start, sigma_end, n_epochs, sigma_mode).values()
-    epsilons = DecaySchedule(eps_start, eps_end, n_epochs).values()
-    rng = np.random.default_rng(seed)
+    sigmas = schedule.sigmas(lattice)
+    epsilons = schedule.epsilons()
+    rng = np.random.default_rng(schedule.seed)
     m = _init_prototypes(x, k, rng)
 
-    trace = np.empty((n_epochs, n), dtype=np.int64)
-    energies = np.empty(n_epochs)
-    for e in range(n_epochs):
+    trace = np.empty((schedule.steps, n), dtype=np.int64)
+    energies = np.empty(schedule.steps)
+    for e in range(schedule.steps):
         h = lattice.neighborhood(sigmas[e])
         eps = epsilons[e]
         order = rng.integers(0, n, size=n)

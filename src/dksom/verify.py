@@ -21,7 +21,7 @@ from .dismat import (
     kernel_to_dissimilarity,
     squared_euclidean,
 )
-from .lattice import Lattice
+from .lattice import Lattice, Schedule
 from .nystrom import (
     approx_relational_distance,
     approx_relational_distances,
@@ -82,10 +82,10 @@ def suite_equivalence(n_kernels: int = 50, n: int = 100, n_triples: int = 10_000
     for _ in range(n_kernels):
         kern = random_psd_kernel(n, rng)
         run_seed = int(rng.integers(0, 2**31))
-        rk = train_batch_kernel(kern, lattice, n_iter=10, seed=run_seed,
-                                stop_on_stable_assignment=False)
-        rr = train_batch_relational(kernel_to_dissimilarity(kern), lattice, n_iter=10,
-                                    seed=run_seed, stop_on_stable_assignment=False)
+        schedule = Schedule(10, seed=run_seed)
+        rk = train_batch_kernel(kern, lattice, schedule, stop_on_stable_assignment=False)
+        rr = train_batch_relational(kernel_to_dissimilarity(kern), lattice, schedule,
+                                    stop_on_stable_assignment=False)
         same = (np.array_equal(rk.assignment_trace, rr.assignment_trace)
                 and np.array_equal(rk.assignments, rr.assignments))
         bad_runs += 0 if same else 1

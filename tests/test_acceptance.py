@@ -16,7 +16,7 @@ from dksom.dismat import (
     kernel_to_dissimilarity,
     squared_euclidean,
 )
-from dksom.lattice import Lattice
+from dksom.lattice import Lattice, Schedule
 from dksom.mediansom import median_update, train_batch_median
 from dksom.nystrom import (
     approx_relational_distances,
@@ -46,8 +46,8 @@ def test_criterion_01_batch_relational_matches_vector_oracle(criterion_report):
     ds = VectorDataset.from_array(x)
     d = squared_euclidean(ds)
     lat = Lattice(5, 5)
-    rv = train_batch(ds, lat, n_iter=50, seed=11)
-    rr = train_batch_relational(d, lat, n_iter=50, seed=11, stop_on_stable_assignment=False)
+    rv = train_batch(ds, lat, Schedule(50, seed=11))
+    rr = train_batch_relational(d, lat, Schedule(50, seed=11), stop_on_stable_assignment=False)
     trace_equal = np.array_equal(rv.assignment_trace, rr.assignment_trace)
     gap = float(np.max(np.abs(rr.coefficients @ x - rv.prototypes)))
     dt = time.perf_counter() - t0
@@ -75,8 +75,8 @@ def test_criterion_02_kernel_som_equals_relational_som(criterion_report):
         kernels.append(k)
         dissims.append(d)
         seed = int(rng.integers(0, 2**31))
-        rk = train_batch_kernel(k, lat, n_iter=10, seed=seed, stop_on_stable_assignment=False)
-        rr = train_batch_relational(d, lat, n_iter=10, seed=seed, stop_on_stable_assignment=False)
+        rk = train_batch_kernel(k, lat, Schedule(10, seed=seed), stop_on_stable_assignment=False)
+        rr = train_batch_relational(d, lat, Schedule(10, seed=seed), stop_on_stable_assignment=False)
         if not np.array_equal(rk.assignment_trace, rr.assignment_trace):
             divergent += 1
         coeff_gap = max(coeff_gap, float(np.max(np.abs(rk.coefficients - rr.coefficients))))
@@ -158,7 +158,7 @@ def test_criterion_05_median_prototypes(criterion_report):
         r2 = np.random.default_rng(seed + 1000)
         pts = r2.normal(size=(60, 2)) * 0.5 + centers[r2.integers(0, 4, 60)]
         dm = squared_euclidean(VectorDataset.from_array(pts))
-        res = train_batch_median(dm, Lattice(2, 3), n_iter=30, seed=seed)
+        res = train_batch_median(dm, Lattice(2, 3), Schedule(30, seed=seed))
         if len(set(res.prototype_indices.tolist())) != 6:
             not_distinct += 1
         sizes = np.bincount(res.assignments, minlength=6)
@@ -307,7 +307,7 @@ def test_criterion_10_stochastic_updates_preserve_constraints(criterion_report):
     rng = np.random.default_rng(1010)
     x = rng.normal(size=(100, 2))
     d = squared_euclidean(VectorDataset.from_array(x))
-    res = train_online_relational(d, Lattice(5, 5), n_epochs=1000, seed=17)
+    res = train_online_relational(d, Lattice(5, 5), Schedule(1000, seed=17))
     row_err = float(np.max(np.abs(res.coefficients.sum(axis=1) - 1.0)))
     in_range = bool(res.coefficients.min() >= 0.0 and res.coefficients.max() <= 1.0)
     criterion_report(

@@ -263,6 +263,43 @@ def test_stmp_annealing_settings_take_effect_without_beta_range(fixtures, capsys
     assert "inner_max_iters must be at least 1" in err
 
 
+_NON_FINITE_OR_EPS_ABOVE_ONE = [
+    ("relational-batch", ["--sigma0", "nan"], "schedule endpoints must be finite"),
+    ("median", ["--sigma0", "inf"], "schedule endpoints must be finite"),
+    ("median", ["--sigma-final", "nan"], "schedule endpoints must be finite"),
+    ("relational-online", ["--eps0", "nan"], "schedule endpoints must be finite"),
+    ("relational-online", ["--eps0", "2"], "learning rate must not exceed 1"),
+    ("stmp", ["--sigma0", "nan"], "sigma must be finite"),
+    ("stmp", ["--beta0", "nan", "--beta-max", "1"], "beta0 must be finite"),
+    ("stmp", ["--beta-factor", "nan"], "beta_factor must be finite"),
+    ("stmp", ["--inner-tol", "nan"], "inner_tol must be finite"),
+]
+
+
+@pytest.mark.parametrize("algorithm, flags, message", _NON_FINITE_OR_EPS_ABOVE_ONE,
+                         ids=[" ".join([alg, *flags]) for alg, flags, _ in
+                              _NON_FINITE_OR_EPS_ABOVE_ONE])
+def test_train_rejects_non_finite_schedule_and_eps_above_one(fixtures, capsys, algorithm, flags,
+                                                             message):
+    rc = main(["train", "--config", str(fixtures["cfg"]), "--algorithm", algorithm,
+               "--input", str(fixtures["dis"]), "--input-kind", "dissimilarity",
+               "--out", str(fixtures["tmp"] / "no"), *flags])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+
+
+def test_eps_is_checked_by_online_algorithms_only(fixtures, capsys):
+    def train(algorithm):
+        return main(["train", "--config", str(fixtures["cfg"]), "--algorithm", algorithm,
+                     "--input", str(fixtures["dis"]), "--input-kind", "dissimilarity",
+                     "--out", str(fixtures["tmp"] / algorithm),
+                     "--eps0", "0.001", "--eps-final", "0.01"])
+
+    assert train("relational-batch") == 0
+    assert train("relational-online") == 1
+    assert "schedule must be non-increasing, got 0.001 -> 0.01" in capsys.readouterr().err
+
+
 def test_verify_fast_suites_exit_0(capsys):
     assert main(["verify", "kh"]) == 0
     assert main(["verify", "triangle"]) == 0
@@ -304,7 +341,8 @@ def _write_inputs(directory, x):
 def test_train_combination_runs_or_fails_cleanly(fixtures, capsys, algorithm, kind, landmarks,
                                                   init_mode):
     """On the 2x2 map (K=4): 40 points, N=1, K > N (3 points), 4 points each
-    repeated 3 times, and the 40 points scaled by 1e-3 (D by 1e-6)."""
+    repeated 3 times, 6 identical points (D all zero), and the 40 points
+    scaled by 1e-3 (D by 1e-6) and by 1e+6 (D by 1e+12)."""
     tmp = fixtures["tmp"]
     cases = {
         "fixture": {"vectors": fixtures["vec"], "dissimilarity": fixtures["dis"],
@@ -315,6 +353,9 @@ def test_train_combination_runs_or_fails_cleanly(fixtures, capsys, algorithm, ki
             np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 3.0]]), 3, axis=0)),
         "scaled": _write_inputs(tmp / "scaled",
                                 1e-3 * np.loadtxt(fixtures["vec"], delimiter=",")),
+        "zero-d": _write_inputs(tmp / "zero-d", np.tile([[0.5, -1.0]], (6, 1))),
+        "scaled-up": _write_inputs(tmp / "scaled-up",
+                                   1e+6 * np.loadtxt(fixtures["vec"], delimiter=",")),
     }
     for case, paths in cases.items():
         out = tmp / f"run-{case}"
@@ -343,7 +384,8 @@ def test_train_combination_runs_or_fails_cleanly(fixtures, capsys, algorithm, ki
 def test_train_on_constant_and_non_euclidean_dissimilarity(fixtures, capsys, algorithm, flags,
                                                            init_mode):
     """Every algorithm that takes dissimilarity input, on a constant off-diagonal D
-    and on a uniform random D that no point configuration embeds."""
+    and on a uniform random D that no point configuration embeds: it runs and
+    keeps its invariants, or fails cleanly."""
     n = 12
     upper = np.triu(np.random.default_rng(7).uniform(size=(n, n)), 1)
     matrices = {"constant": 1.0 - np.eye(n), "non-euclidean": upper + upper.T}
@@ -351,8 +393,18 @@ def test_train_on_constant_and_non_euclidean_dissimilarity(fixtures, capsys, alg
     for name, d in matrices.items():
         path = fixtures["tmp"] / f"{name}.csv"
         save_matrix(d, path)
+        out = fixtures["tmp"] / f"run-{name}"
         rc = main(["train", "--config", str(fixtures["cfg"]), "--algorithm", algorithm,
                    "--input", str(path), "--input-kind", "dissimilarity",
-                   "--out", str(fixtures["tmp"] / f"run-{name}"), "--init-mode", init_mode,
-                   *flags])
+                   "--out", str(out), "--init-mode", init_mode, *flags])
         assert rc in (0, 1), (name, capsys.readouterr().err)
+        if rc != 0:
+            continue
+        if algorithm == "median":
+            protos = (out / "prototype_indices.txt").read_text().split()
+            assert len(set(protos)) == 4, name
+        else:
+            coeffs = np.loadtxt(out / "coefficients.csv", delimiter=",", ndmin=2)
+            assert coeffs.shape == (4, n), name
+            assert coeffs.min() >= 0.0, name
+            assert np.max(np.abs(coeffs.sum(axis=1) - 1.0)) <= 1e-12, name

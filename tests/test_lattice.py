@@ -5,6 +5,7 @@ from dksom.lattice import (
     DEFAULT_SIGMA_END,
     DecaySchedule,
     Lattice,
+    Schedule,
     default_sigma_start,
     grid_coordinates,
 )
@@ -63,9 +64,51 @@ def test_schedule_rejects_bad_arguments():
         DecaySchedule(1.0, 0.5, 0, "exponential_decay")  # no steps
     with pytest.raises(ValueError):
         DecaySchedule(1.0, 0.5, 3, "linear")  # unknown mode
+    for start, final in ((np.nan, 0.5), (1.0, np.nan), (np.inf, 0.5), (np.inf, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            DecaySchedule(start, final, 3, "exponential_decay")
     sched = DecaySchedule(1.0, 0.5, 3, "exponential_decay")
     with pytest.raises(ValueError):
         sched.value_at(3)
+
+
+def test_neighborhood_rejects_non_finite_sigma():
+    lat = Lattice(2, 2, "rectangular")
+    for sigma in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            lat.neighborhood(sigma)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        lat.neighborhood(-np.inf)
+
+
+def test_schedule_default_sigma_starts_at_half_diameter():
+    lat = Lattice(3, 3, "rectangular")
+    sigmas = Schedule(4).sigmas(lat)
+    assert sigmas[0] == default_sigma_start(lat) == pytest.approx(np.sqrt(8.0) / 2)
+    assert sigmas[-1] == pytest.approx(DEFAULT_SIGMA_END)
+    assert np.all(np.diff(sigmas) < 0.0)
+
+
+def test_schedule_fixed_sigma_mode_still_decays_eps():
+    sched = Schedule(5, 0.7, 0.7, "fixed", eps_start=0.4, eps_end=0.1)
+    assert np.all(sched.sigmas(Lattice(2, 2, "rectangular")) == 0.7)
+    eps = sched.epsilons()
+    assert eps[0] == pytest.approx(0.4) and eps[-1] == pytest.approx(0.1)
+    assert np.all(np.diff(eps) < 0.0)
+
+
+def test_schedule_validates_only_when_read():
+    lat = Lattice(2, 2, "rectangular")
+    sched = Schedule(0, np.nan, eps_start=2.0)  # building checks nothing
+    with pytest.raises(ValueError, match="at least one step"):
+        sched.sigmas(lat)
+    batch_only = Schedule(3, eps_start=0.001, eps_end=0.01)
+    assert batch_only.sigmas(lat).shape == (3,)  # batch trainers never read eps
+    with pytest.raises(ValueError, match="non-increasing"):
+        batch_only.epsilons()
+    with pytest.raises(ValueError, match="must not exceed 1"):
+        Schedule(3, eps_start=1.5).epsilons()
+    assert Schedule(3, eps_start=1.0).epsilons()[0] == 1.0
 
 
 def test_lattice_rejects_bad_shape():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dksom.dismat import DissimilarityMatrix, VectorDataset, squared_euclidean
-from dksom.lattice import Lattice
+from dksom.lattice import Lattice, Schedule
 from dksom.mediansom import median_costs, median_update, resolve_collisions, train_batch_median
 
 D3 = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 4.0], [9.0, 4.0, 0.0]])
@@ -67,7 +67,7 @@ def _three_blob_matrix(n_per=12, seed=0):
 def test_training_yields_distinct_prototypes():
     d, _ = _three_blob_matrix()
     lat = Lattice(2, 2, "rectangular")
-    res = train_batch_median(d, lat, n_iter=25, seed=1)
+    res = train_batch_median(d, lat, Schedule(25, seed=1))
     assert len(set(res.prototype_indices.tolist())) == lat.n_units
     assert res.collisions_unresolved == 0
     # each prototype must sit in its own unit (diagonal of D is zero)
@@ -77,13 +77,13 @@ def test_training_yields_distinct_prototypes():
 
 def test_unresolved_collisions_when_k_exceeds_n():
     d = DissimilarityMatrix.from_array([[0.0, 1.0], [1.0, 0.0]])
-    res = train_batch_median(d, Lattice(1, 3, "rectangular"), n_iter=5, seed=0)
+    res = train_batch_median(d, Lattice(1, 3, "rectangular"), Schedule(5, seed=0))
     assert res.collisions_unresolved == 1
 
 
 def test_stable_assignment_stops_early():
     d, _ = _three_blob_matrix(seed=4)
-    res = train_batch_median(d, Lattice(1, 3, "rectangular"), n_iter=100, seed=2)
+    res = train_batch_median(d, Lattice(1, 3, "rectangular"), Schedule(100, seed=2))
     assert res.stopped_early
     assert res.energy_trace.shape[0] < 100
 
@@ -91,8 +91,8 @@ def test_stable_assignment_stops_early():
 def test_deterministic_given_seed():
     d, _ = _three_blob_matrix(seed=7)
     lat = Lattice(2, 2, "rectangular")
-    a = train_batch_median(d, lat, n_iter=15, seed=5)
-    b = train_batch_median(d, lat, n_iter=15, seed=5)
+    a = train_batch_median(d, lat, Schedule(15, seed=5))
+    b = train_batch_median(d, lat, Schedule(15, seed=5))
     assert np.array_equal(a.prototype_indices, b.prototype_indices)
     assert np.array_equal(a.assignments, b.assignments)
 
@@ -106,7 +106,7 @@ def test_medoid_cost_sandwiched_by_clustering_cost_on_metric_data():
     rng = np.random.default_rng(12)
     d = tree_metric(40, rng)
     dm = DissimilarityMatrix.from_array(d)
-    res = train_batch_median(dm, Lattice(2, 2, "rectangular"), n_iter=30, seed=3)
+    res = train_batch_median(dm, Lattice(2, 2, "rectangular"), Schedule(30, seed=3))
     h = np.eye(4)
     c = clustering_cost(d, res.assignments, h)
     q_opt = 0.0

@@ -8,7 +8,7 @@ from dksom.dismat import (
     kernel_to_dissimilarity,
     squared_euclidean,
 )
-from dksom.lattice import Lattice
+from dksom.lattice import Lattice, Schedule
 from dksom.nystrom import (
     approx_relational_distances,
     double_center,
@@ -106,8 +106,8 @@ def test_approx_trainer_matches_exact_on_full_rank_fit():
     d = squared_euclidean(VectorDataset.from_array(x))
     f = nystrom_fit_dissimilarity(d, 60, seed=0)
     lat = Lattice(2, 3, "rectangular")
-    exact = train_batch_relational(d, lat, n_iter=12, seed=6, stop_on_stable_assignment=False)
-    approx = train_batch_approx(f, lat, n_iter=12, seed=6, stop_on_stable_assignment=False)
+    exact = train_batch_relational(d, lat, Schedule(12, seed=6), stop_on_stable_assignment=False)
+    approx = train_batch_approx(f, lat, Schedule(12, seed=6), stop_on_stable_assignment=False)
     assert np.array_equal(exact.assignments, approx.assignments)
     assert np.max(np.abs(exact.coefficients - approx.coefficients)) < 1e-8
 
@@ -132,12 +132,12 @@ def test_online_landmark_engine_matches_factored_distances(kind, init_mode):
         dm = squared_euclidean(VectorDataset.from_array(x))
         factor = nystrom_fit_dissimilarity(dm, 8, seed=1)
     lat = Lattice(2, 2, "rectangular")
-    kw = dict(n_epochs=4, seed=3, init_mode=init_mode)
-    inc = train_online_approx(factor, lat, **kw)
+    schedule = Schedule(4, seed=3)
+    inc = train_online_approx(factor, lat, schedule, init_mode=init_mode)
     # naive reference: approx_relational_distances evaluated at every presentation
     ref = _train_online_reference(
         factor.n, lambda a, i: approx_relational_distances(factor, a)[i],
-        lambda a: approx_relational_distances(factor, a), lat, **kw,
+        lambda a: approx_relational_distances(factor, a), lat, schedule, init_mode=init_mode,
     )
     # shared coefficient arithmetic: bitwise-equal coefficients mean equal BMUs
     assert np.array_equal(inc.coefficients, ref.coefficients)

@@ -8,7 +8,7 @@ from dksom.dismat import (
     kernel_to_dissimilarity,
     squared_euclidean,
 )
-from dksom.lattice import Lattice
+from dksom.lattice import Lattice, Schedule
 from dksom.relsom import (
     _DenseState,
     _relational_row_dist,
@@ -103,8 +103,8 @@ def test_batch_matches_vector_som():
     from dksom.vectorsom import train_batch
 
     for seed in (0, 1, 2):
-        rv = train_batch(ds, lat, n_iter=15, seed=seed)
-        rr = train_batch_relational(d, lat, n_iter=15, seed=seed,
+        rv = train_batch(ds, lat, Schedule(15, seed=seed))
+        rr = train_batch_relational(d, lat, Schedule(15, seed=seed),
                                     stop_on_stable_assignment=False)
         assert np.array_equal(rv.assignment_trace, rr.assignment_trace)
         assert np.max(np.abs(rr.coefficients @ x - rv.prototypes)) < 1e-9
@@ -119,8 +119,8 @@ def test_online_matches_vector_som():
     from dksom.vectorsom import train_online
 
     for seed in (3, 4):
-        rv = train_online(ds, lat, n_epochs=6, seed=seed)
-        rr = train_online_relational(d, lat, n_epochs=6, seed=seed)
+        rv = train_online(ds, lat, Schedule(6, seed=seed))
+        rr = train_online_relational(d, lat, Schedule(6, seed=seed))
         assert np.array_equal(rv.assignments, rr.assignments)
         assert np.max(np.abs(rr.coefficients @ x - rv.prototypes)) < 1e-9
 
@@ -129,7 +129,7 @@ def test_online_preserves_row_stochasticity():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(35, 2))
     d = squared_euclidean(VectorDataset.from_array(x))
-    res = train_online_relational(d, Lattice(3, 3, "rectangular"), n_epochs=12, seed=9)
+    res = train_online_relational(d, Lattice(3, 3, "rectangular"), Schedule(12, seed=9))
     sums = res.coefficients.sum(axis=1)
     assert np.max(np.abs(sums - 1.0)) < 1e-12
     assert res.coefficients.min() >= 0.0
@@ -141,8 +141,8 @@ def test_batch_coefficients_row_stochastic():
     x = rng.normal(size=(45, 2))
     d = squared_euclidean(VectorDataset.from_array(x))
     for init_mode in ("indicator", "uniform"):
-        res = train_batch_relational(d, Lattice(2, 3, "rectangular"), n_iter=20,
-                                     seed=3, init_mode=init_mode)
+        res = train_batch_relational(d, Lattice(2, 3, "rectangular"), Schedule(20, seed=3),
+                                     init_mode=init_mode)
         assert np.max(np.abs(res.coefficients.sum(axis=1) - 1.0)) < 1e-12
 
 
@@ -151,7 +151,7 @@ def test_stable_assignment_stops_early():
     centers = np.repeat(np.array([[0.0], [50.0]]), 15, axis=0)
     x = centers + rng.normal(size=(30, 1)) * 0.01
     d = squared_euclidean(VectorDataset.from_array(x))
-    res = train_batch_relational(d, Lattice(1, 2, "rectangular"), n_iter=80, seed=0)
+    res = train_batch_relational(d, Lattice(1, 2, "rectangular"), Schedule(80, seed=0))
     assert res.stopped_early
     assert res.energy_trace.shape[0] < 80
     assert res.phase_ns["assignment"] > 0 and res.phase_ns["update"] > 0
@@ -168,7 +168,7 @@ def _hostile_dissimilarity() -> DissimilarityMatrix:
 
 def test_negative_distance_counter_on_hostile_matrix():
     dm = _hostile_dissimilarity()
-    res = train_batch_relational(dm, Lattice(2, 2, "rectangular"), n_iter=10, seed=1,
+    res = train_batch_relational(dm, Lattice(2, 2, "rectangular"), Schedule(10, seed=1),
                                  stop_on_stable_assignment=False)
     assert res.negative_distances > 0
 
@@ -179,13 +179,13 @@ def test_kernel_trainers_run_and_agree_with_relational():
     k = KernelMatrix.from_array(b @ b.T / 40)
     d = kernel_to_dissimilarity(k)
     lat = Lattice(2, 2, "rectangular")
-    rk = train_batch_kernel(k, lat, n_iter=12, seed=7, stop_on_stable_assignment=False)
-    rr = train_batch_relational(d, lat, n_iter=12, seed=7, stop_on_stable_assignment=False)
+    rk = train_batch_kernel(k, lat, Schedule(12, seed=7), stop_on_stable_assignment=False)
+    rr = train_batch_relational(d, lat, Schedule(12, seed=7), stop_on_stable_assignment=False)
     assert np.array_equal(rk.assignments, rr.assignments)
     assert np.max(np.abs(rk.coefficients - rr.coefficients)) < 1e-12
 
-    ok = train_online_kernel(k, lat, n_epochs=4, seed=7)
-    orr = train_online_relational(d, lat, n_epochs=4, seed=7)
+    ok = train_online_kernel(k, lat, Schedule(4, seed=7))
+    orr = train_online_relational(d, lat, Schedule(4, seed=7))
     assert np.array_equal(ok.assignments, orr.assignments)
     assert np.max(np.abs(ok.coefficients - orr.coefficients)) < 1e-12
 
@@ -224,9 +224,10 @@ def _online_case(kind):
 def test_incremental_online_engine_matches_naive_reference(kind, init_mode, presentations):
     state, matrix, row_dist, matrix_dist = _online_case(kind)
     lat = Lattice(2, 3, "rectangular")
-    kw = dict(n_epochs=5, seed=4, init_mode=init_mode, presentations_per_epoch=presentations)
-    inc = _train_online(state, lat, **kw)
-    ref = _train_online_reference(matrix.n, row_dist, matrix_dist, lat, **kw)
+    schedule = Schedule(5, seed=4)
+    kw = dict(init_mode=init_mode, presentations_per_epoch=presentations)
+    inc = _train_online(state, lat, schedule, **kw)
+    ref = _train_online_reference(matrix.n, row_dist, matrix_dist, lat, schedule, **kw)
     # both engines run the same coefficient arithmetic, so bitwise-equal
     # coefficients (stricter than the 1e-12 gate) mean the same BMU at every
     # presentation

@@ -110,6 +110,12 @@ def test_annealing_schedule_validation():
         AnnealingSchedule(-0.1, 1.5, 10.0)
 
 
+def test_annealing_schedule_rejects_infinite_beta_max():
+    # an infinite beta_max would make the geometric sweep endless
+    with pytest.raises(ValueError, match="beta_max must be finite"):
+        AnnealingSchedule(1e-9, 1.1, np.inf)
+
+
 def test_default_annealing_brackets_critical_beta():
     d, _ = two_blob_dissimilarity()
     sched = default_annealing(d)

@@ -1,7 +1,7 @@
 import numpy as np
 
 from dksom.dismat import VectorDataset
-from dksom.lattice import Lattice
+from dksom.lattice import Lattice, Schedule
 from dksom.vectorsom import (
     bmu_vector,
     map_energy,
@@ -37,7 +37,7 @@ def test_map_energy_weights_by_neighborhood():
 def test_batch_runs_all_iterations_and_traces():
     ds = _blobs()
     lat = Lattice(3, 3, "rectangular")
-    res = train_batch(ds, lat, n_iter=12, seed=4)
+    res = train_batch(ds, lat, Schedule(12, seed=4))
     assert res.assignment_trace.shape == (12, ds.n)
     assert res.energy_trace.shape == (12,)
     assert res.prototypes.shape == (lat.n_units, ds.p)
@@ -46,7 +46,7 @@ def test_batch_runs_all_iterations_and_traces():
 
 def test_batch_energy_settles():
     ds = _blobs(seed=3)
-    res = train_batch(ds, Lattice(3, 3, "rectangular"), n_iter=40, seed=1)
+    res = train_batch(ds, Lattice(3, 3, "rectangular"), Schedule(40, seed=1))
     # the criterion at the final (smallest) radius should beat the first iterations
     assert res.energy_trace[-1] < res.energy_trace[0]
 
@@ -54,18 +54,18 @@ def test_batch_energy_settles():
 def test_batch_deterministic_given_seed():
     ds = _blobs(seed=8)
     lat = Lattice(2, 4, "rectangular")
-    a = train_batch(ds, lat, n_iter=10, seed=42)
-    b = train_batch(ds, lat, n_iter=10, seed=42)
+    a = train_batch(ds, lat, Schedule(10, seed=42))
+    b = train_batch(ds, lat, Schedule(10, seed=42))
     assert np.array_equal(a.prototypes, b.prototypes)
     assert np.array_equal(a.assignments, b.assignments)
-    c = train_batch(ds, lat, n_iter=10, seed=43)
+    c = train_batch(ds, lat, Schedule(10, seed=43))
     assert not np.array_equal(a.prototypes, c.prototypes)
 
 
 def test_online_runs_and_improves():
     ds = _blobs(seed=5)
     lat = Lattice(3, 3, "rectangular")
-    res = train_online(ds, lat, n_epochs=15, seed=2)
+    res = train_online(ds, lat, Schedule(15, seed=2))
     assert res.assignment_trace.shape == (15, ds.n)
     assert res.energy_trace[-1] < res.energy_trace[0]
 
@@ -74,12 +74,11 @@ def test_online_epoch_order_uses_replacement():
     # with replacement some points may repeat within an epoch, but the map
     # must still place every point somewhere valid
     ds = _blobs(n=25, seed=11)
-    res = train_online(ds, Lattice(2, 2, "rectangular"), n_epochs=5, seed=11)
+    res = train_online(ds, Lattice(2, 2, "rectangular"), Schedule(5, seed=11))
     assert set(np.unique(res.assignments)) <= set(range(4))
 
 
 def test_fixed_sigma_mode():
     ds = _blobs(seed=9)
-    res = train_batch(ds, Lattice(2, 2, "rectangular"), n_iter=6,
-                      sigma_start=0.7, sigma_end=0.7, sigma_mode="fixed", seed=0)
+    res = train_batch(ds, Lattice(2, 2, "rectangular"), Schedule(6, 0.7, 0.7, "fixed", seed=0))
     assert res.energy_trace.shape == (6,)
