@@ -161,6 +161,7 @@ class _Run:
     files: dict  # artifact key -> (file name, values[, CSV header])
     fields: dict  # the family's report fields
     criterion_trace: np.ndarray  # one value per iteration, epoch or outer step
+    distances: np.ndarray | None = None  # the trainer's final relational distances to protos
 
 
 def _train(cfg, data, kind, lattice) -> _Run:
@@ -235,9 +236,11 @@ def _train(cfg, data, kind, lattice) -> _Run:
     fields["phase_timing_ns"] = result.phase_ns
     if landmarks is not None:
         fields["nystrom"] = {"landmarks": landmarks, "seed": nseed, "rank": factor.rank, **sample}
+    # kernel and landmark distances are not the relational ones bit for bit
+    relational = landmarks is None and alg.startswith("relational")
     return _Run(result, dm, result.coefficients,
                 {"prototypes": ("coefficients.csv", result.coefficients)},
-                fields, result.energy_trace)
+                fields, result.energy_trace, result.distances if relational else None)
 
 
 def cmd_train(args) -> int:
@@ -281,7 +284,8 @@ def cmd_train(args) -> int:
         pairwise = vectorsom.squared_distances_to_prototypes(vectors, vectors)
         grid = quality.umatrix_from_pairwise(pairwise, lattice)
     else:
-        crep = quality.criterion_report(run.dm.values, run.protos, result.assignments, h)
+        crep = quality.criterion_report(run.dm.values, run.protos, result.assignments, h,
+                                        run.distances)
         report["final_quantization_cost"] = crep.quantization_cost
         report["final_clustering_cost"] = crep.clustering_cost
         report["per_unit_sizes"] = crep.per_unit_sizes

@@ -111,10 +111,11 @@ class DecaySchedule:
 class Schedule:
     """What every trainer shares: its step count, sigma(t), eps(t) and seed.
 
-    steps counts batch iterations or online epochs. sigma_start=None means
-    default_sigma_start(lattice). Nothing is checked on construction:
-    sigmas() and epsilons() validate when a trainer asks for them, and only
-    the online trainers ask for epsilons.
+    steps counts batch iterations or online epochs and must be at least 1,
+    which construction checks, so that every family rejects a run without
+    steps alike. sigma_start=None means default_sigma_start(lattice). The
+    values are checked when a trainer asks for them: sigmas() and epsilons()
+    validate, and only the online trainers ask for epsilons.
     """
 
     steps: int
@@ -124,6 +125,10 @@ class Schedule:
     eps_start: float = 0.5
     eps_end: float = 0.01
     seed: int = 0
+
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError(f"schedule needs at least one step, got steps={self.steps}")
 
     def sigmas(self, lattice: Lattice) -> np.ndarray:
         start = default_sigma_start(lattice) if self.sigma_start is None else self.sigma_start

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Lattice, Schedule
-from .relsom import _batch_loop
+from .relsom import _batch_loop, unit_row_sums
 
 
 @dataclass
@@ -34,16 +34,11 @@ def median_costs(d_values: np.ndarray, assignments: np.ndarray, h: np.ndarray) -
     """K x N election costs  cost[k, j] = sum_i h(k, c_i) D[i, j].
 
     Naively this is a K x N x N contraction. Grouping rows of D by their
-    assigned unit first (S[l] = sum of D rows assigned to l) costs one pass
-    over D (N^2 adds), and the contraction collapses to h @ S at N K^2
-    multiplies. The pass gathers rows unit by unit so it streams even when
-    D is far larger than cache.
+    assigned unit first (S = unit_row_sums, the sums the batch coefficient
+    trainers use too) costs one pass over D (N^2 adds), and the contraction
+    collapses to h @ S at N K^2 multiplies.
     """
-    k = h.shape[0]
-    s = np.zeros((k, d_values.shape[1]))
-    for unit in np.unique(assignments):
-        s[unit] = d_values[assignments == unit].sum(axis=0)
-    return h @ s
+    return h @ unit_row_sums(d_values, assignments, h.shape[0])
 
 
 def resolve_collisions(costs: np.ndarray) -> tuple[np.ndarray, int, int]:

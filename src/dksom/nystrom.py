@@ -12,7 +12,9 @@ O(N m) instead of O(N^2):
     dist(alpha, i) = g_i - 2 P_i . u + u^T W+ u,   u = C^T alpha, g = diag(K~).
 
 Online training keeps u and u^T W+ u up to date per unit, so a presentation
-costs O(m) per unit for its distances (see _LandmarkState).
+costs O(m) per unit for its distances (see _LandmarkState). Batch training
+builds u from the per-unit row sums of C in O(N m + K^2 m); its distances
+still cost O(N m K) per iteration.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .relsom import (
     _check_coefficients,
     _train_batch,
     _train_online,
+    unit_row_sums,
 )
 
 DEFAULT_RANK_TOL = 1e-10
@@ -149,11 +152,13 @@ def sample_reconstruction_error(
 
 
 class _LandmarkState:
-    """Incremental-engine view of the reconstruction K~ = C W+ C^T.
+    """Engine view of the reconstruction K~ = C W+ C^T, for _train_online and
+    _train_batch.
 
     The state is U = A C (K x m): a presentation of point i blends C[i] into
     it, the cross term (K~ a_k)_i is U[k] . P[i] and the diagonal is g, so
-    one presentation reads m numbers per unit instead of N.
+    one presentation reads m numbers per unit instead of N. A batch state
+    builds U from per-unit sums of the rows of C.
     """
 
     kernel_form = True  # distances g_i - 2 (K~ a_k)_i + a_k^T K~ a_k
@@ -167,6 +172,15 @@ class _LandmarkState:
         """U = A C and q_k = u_k^T W+ u_k, formed as approx_relational_distances does."""
         u = self.rows.T @ a.T  # m x K
         return u.T, np.einsum("mk,mk->k", u, self.factor.w_pinv @ u)
+
+    def block(self, c: np.ndarray, weights: np.ndarray, points=slice(None)):
+        """exact() for the rows a_k with a_k[points[j]] = weights[k, c[j]] and zero
+        elsewhere: U = A C from the per-group row sums of C, O(N m + K L m)."""
+        u = (weights @ unit_row_sums(self.rows[points], c, weights.shape[1])).T  # m x K
+        return u.T, np.einsum("mk,mk->k", u, self.factor.w_pinv @ u)
+
+    def dense(self, a: np.ndarray) -> np.ndarray:
+        return approx_relational_distances(self.factor, a)
 
     def cross(self, u: np.ndarray, i: int) -> np.ndarray:
         return u @ self.factor.p_block[i]
@@ -183,8 +197,8 @@ def train_batch_approx(
     init_mode: str = "indicator",
 ) -> CoefficientSOMResult:
     """Batch relational SOM with all distances served by the factor."""
-    return _train_batch(factor.n, lambda a: approx_relational_distances(factor, a), lattice,
-                        schedule, stop_on_stable_assignment, init_mode)
+    return _train_batch(_LandmarkState(factor), lattice, schedule, stop_on_stable_assignment,
+                        init_mode)
 
 
 def train_online_approx(

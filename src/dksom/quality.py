@@ -14,6 +14,7 @@ import numpy as np
 
 from .dismat import _count_metric_violations
 from .lattice import Lattice
+from .relsom import unit_row_sums
 from .vectorsom import map_energy
 
 NEIGHBOR_SQDIST = 1.0 + 1e-9  # lattice 4-neighborhood (6 on hexagonal grids)
@@ -41,19 +42,27 @@ def quantization_cost(d_values: np.ndarray, protos, assignments: np.ndarray, h: 
 def clustering_cost(d_values: np.ndarray, assignments: np.ndarray, h: np.ndarray) -> float:
     """1/2 sum_k (sum_i h_{k c_i})^-1 sum_{i,j} h_{k c_i} h_{k c_j} D_ij.
 
-    Units with zero total weight are skipped (contribute 0); per_unit sizes in
-    criterion_report expose them.
+    Computed as 1/2 sum_k (h Q h^T)_kk / n_k from the block sums
+    Q_lm = sum_{i in C_l, j in C_m} D_ij and n_k = sum_l h_kl |C_l|: one pass
+    over D (unit_row_sums) plus O(N K + K^3). Units with zero total weight
+    are skipped (contribute 0); per_unit sizes in criterion_report expose them.
     """
-    w = h[:, assignments]  # K x N
-    sizes = w.sum(axis=1)
-    quad = np.einsum("kn,kn->k", w @ d_values, w)
+    k = h.shape[0]
+    blocks_t = unit_row_sums(unit_row_sums(d_values, assignments, k).T, assignments, k)  # Q^T
+    sizes = h @ np.bincount(assignments, minlength=k)
+    quad = np.einsum("kl,ml,km->k", h, blocks_t, h)
     alive = sizes > 0.0
     return float(0.5 * np.sum(quad[alive] / sizes[alive]))
 
 
-def criterion_report(d_values: np.ndarray, protos, assignments: np.ndarray, h: np.ndarray) -> CriterionReport:
+def criterion_report(d_values: np.ndarray, protos, assignments: np.ndarray, h: np.ndarray,
+                     distances: np.ndarray | None = None) -> CriterionReport:
+    """Both costs and the unit sizes; distances, when given, are the N x K
+    relational distances to protos, and the quantization cost reads them
+    instead of computing its own."""
     return CriterionReport(
-        quantization_cost=quantization_cost(d_values, protos, assignments, h),
+        quantization_cost=(quantization_cost(d_values, protos, assignments, h)
+                           if distances is None else map_energy(distances, assignments, h)),
         clustering_cost=clustering_cost(d_values, assignments, h),
         per_unit_sizes=h[:, assignments].sum(axis=1),
     )

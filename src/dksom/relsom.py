@@ -15,13 +15,22 @@ Relational distances may be negative when D is non-Euclidean (the implicit
 embedding is pseudo-Euclidean); they still participate in argmin and a count
 of negative evaluations is carried in the result.
 
-The batch trainers recompute A M (M = D or K), an O(K N^2) product, once per
-iteration. The online trainers do not: an online update blends each
-coefficient row with a one-hot vector, so the engine keeps G = A M and the
-quadratic terms up to date in O(K N) per presentation and recomputes them
-exactly at each epoch end (see _train_online). The naive engine that
-recomputes A M at every presentation is kept as _train_online_reference:
-the tests compare against it, and the complexity benchmark times it.
+Neither engine forms A M (M = D or K), an O(K N^2) product, at every step.
+After a batch update every coefficient row is a_k = h[k, c] / n_k with
+n_k = sum_l h_kl |C_l|, so A M = (h S) / n with the per-unit row sums
+S[l] = sum_{i in C_l} M_i (unit_row_sums), and the quadratic terms
+a_k^T M a_k = sum_i a_ki (A M)_ki follow in O(N K): one pass over M plus
+O(N K^2) per iteration, O(N^2 + N K^2) instead of O(N^2 K) (Conan-Guez,
+Rossi & El Golli, "Fast algorithm and implementation of dissimilarity
+self-organizing maps", Neural Networks 19, 2006); see _train_batch.
+
+An online update blends each coefficient row with a one-hot vector, so that
+engine keeps G = A M and the quadratic terms up to date in O(K N) per
+presentation and recomputes them exactly at each epoch end (see
+_train_online). The naive engine that recomputes A M at every presentation
+is kept as _train_online_reference: the tests compare against it, and the
+complexity benchmark times it. relational_distances and kernel_distances
+keep the dense product.
 """
 
 from __future__ import annotations
@@ -53,6 +62,8 @@ class CoefficientSOMResult:
     # online trainers: largest epoch-end relative gap between the incremental
     # and the exact state, max|X_incr - X_exact| / max|X_exact| over X = G, q
     resync_drift_max: float | None = None
+    # N x K distances under the final coefficients, as the trainer computed them
+    distances: np.ndarray | None = None
 
 
 def _check_coefficients(alpha: np.ndarray) -> None:
@@ -122,6 +133,28 @@ def prototype_pairwise_dissimilarity(
     return float(-0.5 * (diff @ d_values @ diff))
 
 
+UNIT_SUM_ROWS = 32  # rows unit_row_sums gathers at a time
+
+
+def unit_row_sums(m_values: np.ndarray, assignments: np.ndarray, n_units: int) -> np.ndarray:
+    """n_units x w matrix S whose row l sums the rows of m_values assigned to l.
+
+    One pass over m_values. Rows are gathered unit by unit, at most
+    UNIT_SUM_ROWS at a time, so the pass streams even when m_values is far
+    larger than cache and never copies it whole; each unit's rows are added
+    in index order. A unit with no rows gets a zero row.
+    """
+    s = np.zeros((n_units, m_values.shape[1]))
+    for unit in np.unique(assignments):
+        rows = np.flatnonzero(assignments == unit)
+        for start in range(0, rows.size, UNIT_SUM_ROWS):
+            block = m_values[rows[start:start + UNIT_SUM_ROWS]]
+            if start:
+                block[0] += s[unit]
+            s[unit] = block.sum(axis=0)
+    return s
+
+
 def _init_coefficients(
     n: int, n_units: int, rng: np.random.Generator, init_mode: str
 ) -> np.ndarray:
@@ -152,6 +185,7 @@ class _BatchRun:
     events: int  # sum of the counts update returned
     negative: int  # distance entries < 0, the final evaluation included
     phase_ns: dict
+    distances: np.ndarray  # N x K, under the final state
 
 
 def _batch_loop(
@@ -205,7 +239,7 @@ def _batch_loop(
     negative += int(np.count_nonzero(dist < 0.0))
     return _BatchRun(
         state, final, np.asarray(trace), np.asarray(energies), stopped, float(sigmas[t]),
-        events, negative, {"assignment": assign_ns, "update": update_ns},
+        events, negative, {"assignment": assign_ns, "update": update_ns}, dist,
     )
 
 
@@ -219,23 +253,85 @@ def _coefficient_update(a: np.ndarray, c: np.ndarray, h: np.ndarray) -> tuple[np
     return new_a, int(np.count_nonzero(~alive))
 
 
+@dataclass
+class _Coefficients:
+    """State of the batch coefficient trainers: the coefficient rows, kept as
+    the update that formed them.
+
+    A unit outside kept has the row _coefficient_update(., c, h) gives it; a
+    unit in kept has rows[k], its initial row or the row it had when an update
+    skipped it as empty. Before the first update c and h are None and every
+    unit is kept.
+    """
+
+    rows: np.ndarray  # K x N, read where kept
+    kept: np.ndarray  # K bools
+    c: np.ndarray | None = None
+    h: np.ndarray | None = None
+
+    def form(self) -> np.ndarray:
+        """The K x N coefficient matrix after the first update, in O(K N)."""
+        return _coefficient_update(self.rows, self.c, self.h)[0]
+
+
 def _train_batch(
-    n: int,
-    matrix_dist,
+    matrix,
     lattice: Lattice,
     schedule: Schedule,
     stop_on_stable_assignment: bool,
     init_mode: str,
 ) -> CoefficientSOMResult:
-    """Batch engine on coefficients; matrix_dist(alphas) -> N x K distances."""
-    run = _batch_loop(
-        lattice, schedule, stop_on_stable_assignment,
-        lambda rng: _init_coefficients(n, lattice.n_units, rng, init_mode),
-        matrix_dist, _coefficient_update,
-    )
+    """Batch engine on coefficients, for a matrix view as _train_online takes.
+
+    Iteration t costs one pass over matrix.rows plus O(N K^2): the products
+    G = A R and the quadratic terms come from matrix.block on the per-unit
+    row sums of R, and the coefficients are formed once, at the end. The
+    first iteration reads R at the seeds (indicator init) or sums it once
+    (uniform init). The dense matrix.dense serves the rows of units that an
+    update skipped as empty, and every row while one unit holds all points:
+    all rows are then the same mathematically, so the distances tie and
+    only the rounding of the dense product tells the units apart.
+    """
+    n, k = matrix.rows.shape[0], lattice.n_units
+
+    def init(rng):
+        return _Coefficients(_init_coefficients(n, k, rng, init_mode), np.ones(k, dtype=bool))
+
+    def block_distances(c, weights, points=slice(None)):
+        g, q = matrix.block(c, weights, points)
+        return _distances(matrix, matrix.cross_all(g), q[:, None], matrix.diag[None, :]).T
+
+    def distances(st: _Coefficients) -> np.ndarray:
+        if st.c is None:
+            if init_mode == "uniform":
+                return block_distances(np.zeros(n, dtype=np.int64), np.full((k, 1), 1.0 / n))
+            return block_distances(np.arange(k), np.eye(k), st.rows.argmax(axis=1))
+        dist = np.empty((n, k))
+        fresh = ~st.kept
+        if fresh.any():
+            h = st.h[fresh]
+            dist[:, fresh] = block_distances(st.c, h / (h @ np.bincount(st.c, minlength=k))[:, None])
+        if st.kept.any():
+            dist[:, st.kept] = matrix.dense(st.rows[st.kept])
+        return dist
+
+    def update(st: _Coefficients, c: np.ndarray, h: np.ndarray):
+        # the units _coefficient_update skips: a unit with points has weight >= h_kk = 1
+        empty = np.bincount(c, minlength=k) == 0
+        skipped = np.zeros(k, dtype=bool)
+        skipped[empty] = h[empty][:, c].sum(axis=1) <= EMPTY_UNIT_WEIGHT
+        newly = skipped & ~st.kept
+        if newly.any():
+            st.rows[newly] = st.form()[newly]
+        new = _Coefficients(st.rows, skipped, c, h)
+        if np.count_nonzero(~empty) == 1:
+            new = _Coefficients(new.form(), np.ones(k, dtype=bool), c, h)
+        return new, int(np.count_nonzero(skipped))
+
+    run = _batch_loop(lattice, schedule, stop_on_stable_assignment, init, distances, update)
     return CoefficientSOMResult(
-        run.state, run.assignments, run.trace, run.energies, lattice, run.final_sigma,
-        run.stopped, run.negative, run.events, run.phase_ns,
+        run.state.form(), run.assignments, run.trace, run.energies, lattice, run.final_sigma,
+        run.stopped, run.negative, run.events, run.phase_ns, distances=run.distances,
     )
 
 
@@ -252,8 +348,7 @@ def train_batch_relational(
     to force the full schedule.steps iterations, e.g. for step-by-step
     comparison against the vector trainer, which never stops early).
     """
-    d = dismatrix.values
-    return _train_batch(d.shape[0], lambda a: relational_distances(d, a), lattice, schedule,
+    return _train_batch(_DenseState(dismatrix.values, kernel_form=False), lattice, schedule,
                         stop_on_stable_assignment, init_mode)
 
 
@@ -265,17 +360,23 @@ def train_batch_kernel(
     init_mode: str = "indicator",
 ) -> CoefficientSOMResult:
     """Batch SOM on a kernel matrix (distances via the kernel trick)."""
-    k = kernel.values
-    return _train_batch(k.shape[0], lambda a: kernel_distances(k, a), lattice, schedule,
+    return _train_batch(_DenseState(kernel.values, kernel_form=True), lattice, schedule,
                         stop_on_stable_assignment, init_mode)
 
 
+def _distances(matrix, x, q, m_ii):
+    """Point-to-unit distances from the cross terms x = (M a_k)_i, the
+    quadratic terms q and the diagonal entries m_ii of a matrix view."""
+    return m_ii - 2.0 * x + q if matrix.kernel_form else x - 0.5 * q
+
+
 class _DenseState:
-    """Incremental-engine view of a dense N x N matrix M (D or K).
+    """Engine view of a dense N x N matrix M (D or K), for _train_online and
+    _train_batch.
 
     The state G = A M holds one row per unit; row i of M is what a
     presentation of point i blends into it, and column i of G is the cross
-    term (M a_k)_i.
+    term (M a_k)_i. A batch state builds G from per-unit sums of the rows.
     """
 
     def __init__(self, m_values: np.ndarray, kernel_form: bool):
@@ -287,6 +388,16 @@ class _DenseState:
         """G = A M and the quadratic terms q_k = a_k^T M a_k."""
         g = a @ self.rows
         return g, np.einsum("kn,kn->k", a, g)
+
+    def block(self, c: np.ndarray, weights: np.ndarray, points=slice(None)):
+        """exact() for the rows a_k with a_k[points[j]] = weights[k, c[j]] and zero
+        elsewhere, from the per-group row sums of M: O(N^2 + N K L) for L groups."""
+        g = weights @ unit_row_sums(self.rows[points], c, weights.shape[1])
+        return g, np.einsum("kn,kn->k", weights[:, c], g[:, points])
+
+    def dense(self, a: np.ndarray) -> np.ndarray:
+        """N x K distances by the dense product."""
+        return (kernel_distances if self.kernel_form else relational_distances)(self.rows, a)
 
     def cross(self, g: np.ndarray, i: int) -> np.ndarray:
         return g[:, i]
@@ -331,9 +442,6 @@ def _train_online(
     rng = np.random.default_rng(schedule.seed)
     a = _init_coefficients(n, lattice.n_units, rng, init_mode)
 
-    def dist(x, q, m_ii):
-        return m_ii - 2.0 * x + q if state.kernel_form else x - 0.5 * q
-
     trace = np.empty((schedule.steps, n), dtype=np.int64)
     energies = np.empty(schedule.steps)
     negative = 0
@@ -349,7 +457,7 @@ def _train_online(
             t0 = time.perf_counter_ns()
             x = state.cross(g, i)
             m_ii = state.diag[i]
-            d = dist(x, q, m_ii)
+            d = _distances(state, x, q, m_ii)
             c = int(np.argmin(d))
             t1 = time.perf_counter_ns()
             pull = eps * h[:, c]
@@ -368,14 +476,14 @@ def _train_online(
             if scale > 0.0:
                 drift = max(drift, float(np.max(np.abs(incr - exact))) / scale)
         g, q = g_exact, q_exact
-        dists = dist(state.cross_all(g), q[:, None], state.diag[None, :]).T
+        dists = _distances(state, state.cross_all(g), q[:, None], state.diag[None, :]).T
         negative += int(np.count_nonzero(dists < 0.0))
         trace[e] = np.argmin(dists, axis=1)
         energies[e] = map_energy(dists, trace[e], h)
 
     return CoefficientSOMResult(
         a, trace[-1].copy(), trace, energies, lattice, float(sigmas[-1]), False, negative, 0,
-        {"assignment": assign_ns, "update": update_ns}, drift,
+        {"assignment": assign_ns, "update": update_ns}, drift, dists,
     )
 
 

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from dksom.cli import ALGORITHMS, INPUT_KINDS, main, parse_config
-from dksom.dismat import VectorDataset, save_matrix, squared_euclidean
+from dksom import quality
+from dksom.cli import ALGORITHMS, DEFAULTS, INPUT_KINDS, _train, main, parse_config
+from dksom.dismat import VectorDataset, load_matrix, load_vectors, save_matrix, squared_euclidean
+from dksom.lattice import Lattice
 from dksom.nystrom import double_center
 
 
@@ -123,6 +125,34 @@ def test_train_relational_report_counters(fixtures):
                        for line in (out / "coefficients.csv").read_text().splitlines()])
     assert coeffs.shape == (4, 40)
     assert np.max(np.abs(coeffs.sum(axis=1) - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("algorithm, kind, landmarks, reused", [
+    ("relational-batch", "dissimilarity", None, True),
+    ("relational-online", "vectors", None, True),
+    ("relational-batch", "dissimilarity", 5, False),
+    ("kernel-batch", "kernel", None, False),
+    ("kernel-online", "kernel", None, False),
+])
+def test_final_relational_distances_are_reused_for_the_quantization_cost(
+        fixtures, algorithm, kind, landmarks, reused):
+    """Dense relational runs hand their final distances to the quantization
+    cost; the cost matches a fresh quality.quantization_cost."""
+    cfg = dict(DEFAULTS, algorithm=algorithm, rows=2, cols=3, t_max=6, seed=5,
+               nystrom_landmarks=landmarks)
+    data = load_vectors(fixtures["vec"]) if kind == "vectors" else load_matrix(
+        fixtures["dis" if kind == "dissimilarity" else "ker"], kind)
+    lattice = Lattice(2, 3, "rectangular")
+    run = _train(cfg, data, kind, lattice)
+    assert (run.distances is not None) == reused
+    if not reused:
+        return
+    result = run.result
+    h = lattice.neighborhood(result.final_sigma)
+    fresh = quality.quantization_cost(run.dm.values, run.protos, result.assignments, h)
+    reuse = quality.criterion_report(run.dm.values, run.protos, result.assignments, h,
+                                     run.distances).quantization_cost
+    assert reuse == pytest.approx(fresh, rel=1e-12)
 
 
 def test_train_runs_deterministically(fixtures):
@@ -273,6 +303,8 @@ _NON_FINITE_OR_EPS_ABOVE_ONE = [
     ("stmp", ["--beta0", "nan", "--beta-max", "1"], "beta0 must be finite"),
     ("stmp", ["--beta-factor", "nan"], "beta_factor must be finite"),
     ("stmp", ["--inner-tol", "nan"], "inner_tol must be finite"),
+    ("stmp", ["--t-max", "0"], "schedule needs at least one step"),
+    ("median", ["--t-max", "0"], "schedule needs at least one step"),
 ]
 
 

@@ -97,10 +97,16 @@ def test_schedule_fixed_sigma_mode_still_decays_eps():
     assert np.all(np.diff(eps) < 0.0)
 
 
+def test_schedule_needs_a_step_when_built():
+    for steps in (0, -3):
+        with pytest.raises(ValueError, match="at least one step"):
+            Schedule(steps)
+
+
 def test_schedule_validates_only_when_read():
     lat = Lattice(2, 2, "rectangular")
-    sched = Schedule(0, np.nan, eps_start=2.0)  # building checks nothing
-    with pytest.raises(ValueError, match="at least one step"):
+    sched = Schedule(3, np.nan, eps_start=2.0)  # building checks only the step count
+    with pytest.raises(ValueError, match="schedule endpoints must be finite"):
         sched.sigmas(lat)
     batch_only = Schedule(3, eps_start=0.001, eps_end=0.01)
     assert batch_only.sigmas(lat).shape == (3,)  # batch trainers never read eps

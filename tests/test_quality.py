@@ -39,6 +39,36 @@ def test_clustering_cost_single_unit():
     )
 
 
+@pytest.mark.parametrize("topology", ["rectangular", "hexagonal"])
+def test_clustering_cost_block_sums_match_dense_form(topology):
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(50, 2))
+    d = squared_euclidean(VectorDataset.from_array(x)).values
+    d = d + np.abs(x[:, :1] - x[:, :1].T)  # not squared-Euclidean any more
+    lat = Lattice(2, 3, topology)
+    c = rng.integers(0, 5, 50)  # unit 5 holds no point
+    for sigma in (1.5, 0.02):  # at 0.02 unit 5 has no neighborhood weight either
+        h = lat.neighborhood(sigma)
+        w = h[:, c]
+        size = w.sum(axis=1)
+        alive = size > 0.0
+        assert alive[:5].all() and alive[5] == (sigma > 1.0)
+        dense = 0.5 * np.sum(np.diag(w @ d @ w.T)[alive] / size[alive])
+        assert clustering_cost(d, c, h) == pytest.approx(dense, rel=1e-12)
+
+
+def test_criterion_report_reads_given_distances():
+    rng = np.random.default_rng(4)
+    d = squared_euclidean(VectorDataset.from_array(rng.normal(size=(30, 2)))).values
+    alpha = rng.dirichlet(np.ones(30), size=4)
+    c = rng.integers(0, 4, 30)
+    h = Lattice(2, 2, "rectangular").neighborhood(0.7)
+    given = np.full((30, 4), 2.0)
+    rep = criterion_report(d, alpha, c, h, given)
+    assert rep.quantization_cost == pytest.approx(2.0 * h[c].sum())
+    assert rep.clustering_cost == criterion_report(d, alpha, c, h).clustering_cost
+
+
 def test_costs_coincide_for_barycentric_coefficients():
     # on squared-Euclidean data with h-weighted barycentric prototypes the two
     # criteria agree (the variance identity, unit by unit)

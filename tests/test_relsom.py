@@ -10,7 +10,9 @@ from dksom.dismat import (
 )
 from dksom.lattice import Lattice, Schedule
 from dksom.relsom import (
+    _coefficient_update,
     _DenseState,
+    _init_coefficients,
     _relational_row_dist,
     _train_online,
     _train_online_reference,
@@ -24,8 +26,10 @@ from dksom.relsom import (
     train_batch_relational,
     train_online_kernel,
     train_online_relational,
+    unit_row_sums,
     verify_equivalence,
 )
+from dksom.vectorsom import map_energy
 
 D3 = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 4.0], [9.0, 4.0, 0.0]])  # points 0, 1, 3
 K2 = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -240,3 +244,116 @@ def test_incremental_online_engine_matches_naive_reference(kind, init_mode, pres
     np.testing.assert_allclose(inc.energy_trace, ref.energy_trace, rtol=1e-12)
     assert 0.0 <= inc.resync_drift_max < 1e-12
     assert ref.resync_drift_max is None
+
+
+def _dense_batch_reference(n, matrix_dist, lattice, schedule, init_mode):
+    """The batch loop on explicit coefficients and dense distances: every
+    iteration forms A with _coefficient_update and evaluates matrix_dist(A),
+    an N^2 K product. Runs all schedule.steps iterations."""
+    sigmas = schedule.sigmas(lattice)
+    a = _init_coefficients(n, lattice.n_units, np.random.default_rng(schedule.seed), init_mode)
+    trace, energies, skipped = [], [], 0
+    for sigma in sigmas:
+        h = lattice.neighborhood(sigma)
+        dist = matrix_dist(a)
+        c = np.argmin(dist, axis=1)
+        trace.append(c)
+        energies.append(map_energy(dist, c, h))
+        a, count = _coefficient_update(a, c, h)
+        skipped += count
+    return a, np.array(trace), np.array(energies), skipped, np.argmin(matrix_dist(a), axis=1)
+
+
+def _batch_case(kind, n, seed):
+    """(trainer, matrix, dense N x K distances) for one input kind on n points."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 3))
+    if kind == "duplicates":  # every point three times: rows of D repeat and distances tie
+        x = np.repeat(x[: max(1, n // 3)], 3, axis=0)
+    if kind == "clusters":  # three tight clusters, fewer than the units
+        x = np.repeat(4.0 * x[:3], n // 3, axis=0) + 0.01 * rng.normal(size=(3 * (n // 3), 3))
+    if kind == "l1":
+        dm = DissimilarityMatrix.from_array(np.abs(x[:, None, :] - x[None, :, :]).sum(axis=2))
+    elif kind == "rbf":
+        k = KernelMatrix.from_array(np.exp(-0.5 * ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)))
+        return train_batch_kernel, k, lambda a: kernel_distances(k.values, a)
+    else:
+        dm = squared_euclidean(VectorDataset.from_array(x))
+    return train_batch_relational, dm, lambda a: relational_distances(dm.values, a)
+
+
+_ENGINE_CASES = [
+    # kind, N, lattice (rows, cols, topology), schedule, init mode
+    ("squared-euclidean", 40, (3, 3, "rectangular"), Schedule(15, seed=1), "indicator"),
+    ("squared-euclidean", 40, (3, 3, "hexagonal"), Schedule(15, seed=2), "indicator"),
+    ("squared-euclidean", 40, (1, 5, "rectangular"), Schedule(15, seed=3), "uniform"),
+    ("l1", 35, (2, 4, "hexagonal"), Schedule(12, seed=4), "indicator"),
+    ("l1", 35, (1, 6, "hexagonal"), Schedule(12, seed=5), "uniform"),
+    ("rbf", 30, (3, 2, "rectangular"), Schedule(12, seed=6), "indicator"),
+    ("rbf", 30, (1, 4, "rectangular"), Schedule(12, seed=7), "uniform"),
+    ("squared-euclidean", 1, (1, 1, "rectangular"), Schedule(5, seed=8), "indicator"),
+    ("squared-euclidean", 1, (2, 3, "hexagonal"), Schedule(5, seed=9), "uniform"),
+    ("l1", 3, (1, 5, "rectangular"), Schedule(8, seed=10), "uniform"),
+    ("duplicates", 36, (2, 3, "rectangular"), Schedule(12, seed=11), "indicator"),
+    ("duplicates", 36, (2, 3, "hexagonal"), Schedule(12, 0.02, 0.02, "fixed", seed=12),
+     "indicator"),
+    ("clusters", 30, (3, 3, "hexagonal"), Schedule(12, 1.0, 0.005, seed=13), "indicator"),
+]
+_SKIPPING_CASES = _ENGINE_CASES[-2:]
+
+
+@pytest.mark.parametrize("kind, n, grid, schedule, init_mode", _ENGINE_CASES,
+                         ids=[f"{c[0]}-N{c[1]}-{c[2][0]}x{c[2][1]}-{c[2][2]}-{c[4]}"
+                              for c in _ENGINE_CASES])
+def test_block_sum_batch_engine_matches_dense_reference(kind, n, grid, schedule, init_mode):
+    """The engine on per-unit row sums takes every argmin the dense product
+    takes, so its coefficients are the reference's bit for bit. Exact ties
+    between distinct units are the exception: units whose prototypes
+    coincide mathematically (all of them right after a uniform init, or
+    units symmetric about two populated units on a 2-D lattice) are told
+    apart by rounding alone, and the two sums round differently. The
+    uniform-init cases therefore run on chains, where at most the
+    one-populated-unit state ties, and the engine takes that state dense."""
+    trainer, matrix, matrix_dist = _batch_case(kind, n, seed=n + schedule.seed)
+    lattice = Lattice(*grid)
+    res = trainer(matrix, lattice, schedule, stop_on_stable_assignment=False,
+                  init_mode=init_mode)
+    a, trace, energies, skipped, final = _dense_batch_reference(
+        matrix.n, matrix_dist, lattice, schedule, init_mode)
+    assert np.array_equal(res.assignment_trace, trace)
+    assert np.array_equal(res.assignments, final)
+    assert np.array_equal(res.coefficients, a)
+    assert res.empty_unit_events == skipped
+    np.testing.assert_allclose(res.energy_trace, energies, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(energies)))
+    np.testing.assert_allclose(res.distances, matrix_dist(a), rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(res.distances)))
+
+
+@pytest.mark.parametrize("kind, n, grid, schedule, init_mode", _SKIPPING_CASES,
+                         ids=["initial-row-kept", "formed-row-kept"])
+def test_block_sum_engine_cases_skip_empty_units(kind, n, grid, schedule, init_mode):
+    """Two engine cases skip units as empty: at tiny sigma a unit whose seed
+    duplicates another's wins no point at the first update and keeps its
+    initial row; with sigma decaying below the lattice spacing, units that
+    lose their points keep rows an earlier update formed."""
+    trainer, matrix, _ = _batch_case(kind, n, seed=n + schedule.seed)
+    res = trainer(matrix, Lattice(*grid), schedule, stop_on_stable_assignment=False,
+                  init_mode=init_mode)
+    assert res.empty_unit_events > 0
+
+
+@pytest.mark.parametrize("n_units", [1, 4, 9])
+def test_unit_row_sums_equals_one_hot_product(n_units, monkeypatch):
+    rng = np.random.default_rng(n_units)
+    m = rng.normal(size=(70, 11))
+    c = rng.integers(0, n_units, 70)
+    c[c == n_units - 1] = 0  # one unit (the last, if there are two or more) gets no row
+    e = np.eye(n_units)[c]  # N x K one-hot
+    monkeypatch.setattr("dksom.relsom.UNIT_SUM_ROWS", 4)  # several gathers per unit
+    s = unit_row_sums(m, c, n_units)
+    np.testing.assert_allclose(s, e.T @ m, rtol=1e-12, atol=1e-12)
+    if n_units > 1:
+        assert not s[-1].any()
+    monkeypatch.undo()
+    assert np.array_equal(unit_row_sums(m, c, n_units), s)  # sums in index order either way
