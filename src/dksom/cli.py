@@ -70,6 +70,23 @@ SETTINGS = (
 CONFIG_KEYS = {key: (attr, kind, choices) for key, attr, kind, _, choices in SETTINGS}
 DEFAULTS = {attr: default for _, attr, _, default, _ in SETTINGS}
 
+# what each family reads besides the input, output, lattice and seed settings;
+# report.json lists any other setting given a non-default value as ignored
+_BATCH_READS = ("t_max", "sigma0", "sigma_final", "schedule_mode")
+_ONLINE_READS = _BATCH_READS + ("eps0", "eps_final")
+_COEFFICIENT_READS = ("init_mode", "nystrom_landmarks", "nystrom_seed")
+_READS = {
+    "classic-batch": _BATCH_READS,
+    "classic-online": _ONLINE_READS,
+    "median": _BATCH_READS,
+    "relational-batch": _BATCH_READS + _COEFFICIENT_READS,
+    "relational-online": _ONLINE_READS + _COEFFICIENT_READS,
+    "kernel-batch": _BATCH_READS + _COEFFICIENT_READS,
+    "kernel-online": _ONLINE_READS + _COEFFICIENT_READS,
+    "stmp": ("sigma0", "beta0", "beta_factor", "beta_max", "inner_tol", "inner_max_iters"),
+}
+_ALWAYS_READ = ("algorithm", "input", "input_kind", "out", "seed", "rows", "cols", "topology")
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad usage; 2 means suite failure here, so remap
@@ -115,6 +132,15 @@ def _effective_config(args) -> dict:
     return cfg
 
 
+def _ignored_settings(cfg: dict) -> list[str]:
+    """Config keys set to a non-default value that the algorithm does not read."""
+    reads = _ALWAYS_READ + _READS[cfg["algorithm"]]
+    if cfg["nystrom_landmarks"] is None:
+        reads = tuple(attr for attr in reads if attr != "nystrom_seed")
+    return [key for key, attr, _, default, _ in SETTINGS
+            if attr not in reads and cfg[attr] != default]
+
+
 def _write_json(payload: dict, path) -> None:
     with open(path, "w") as fh:
         # NumPy arrays and scalars (json takes float64 as float) become Python values
@@ -156,7 +182,7 @@ class _Run:
     """What one training run hands to cmd_train to write."""
 
     result: object  # has assignments and final_sigma
-    dm: object  # dissimilarity view of the input
+    dm: object  # dissimilarity view of the input; None for classic-*, which read the vectors
     protos: np.ndarray | None  # median indices or coefficient rows; None: result.prototypes
     files: dict  # artifact key -> (file name, values[, CSV header])
     fields: dict  # the family's report fields
@@ -183,13 +209,17 @@ def _train(cfg, data, kind, lattice) -> _Run:
         raise ValueError("kernel input required for kernel algorithms")
     if landmarks is not None and not alg.startswith(("relational", "kernel")):
         raise ValueError("landmark acceleration applies to relational/kernel algorithms only")
-    dm = _dissimilarity_for(data, kind)
 
     if alg.startswith("classic"):
+        # no D is built here, so reject what would overflow it: |x - y|^2 <= 4 p max|x|^2
+        largest = float(np.max(np.abs(data.points)))
+        if not np.isfinite(4.0 * data.p * largest * largest):
+            raise ValueError(f"vector coordinates up to {largest:.3e} overflow squared distances")
         train = vectorsom.train_online if online else vectorsom.train_batch
         result = train(data, lattice, schedule)
-        return _Run(result, dm, None, {"prototypes": ("prototypes.csv", result.prototypes)},
+        return _Run(result, None, None, {"prototypes": ("prototypes.csv", result.prototypes)},
                     {}, result.energy_trace)
+    dm = _dissimilarity_for(data, kind)
     if alg == "median":
         result = mediansom.train_batch_median(dm, lattice, schedule)
         fields = {key: getattr(result, key) for key in
@@ -261,6 +291,7 @@ def cmd_train(args) -> int:
     result = run.result
     report = {
         "config": {k: cfg[k] for k in sorted(cfg)},
+        "ignored_settings": _ignored_settings(cfg),
         "n": data.n,
         "k_units": lattice.n_units,
         "wall_ns": wall_ns,
@@ -279,8 +310,8 @@ def cmd_train(args) -> int:
         vectors = result.prototypes
         dist = vectorsom.squared_distances_to_prototypes(data.points, vectors)
         report["final_quantization_cost"] = vectorsom.map_energy(dist, result.assignments, h)
-        report["final_clustering_cost"] = quality.clustering_cost(run.dm.values,
-                                                                  result.assignments, h)
+        report["final_clustering_cost"] = quality.vector_clustering_cost(data.points,
+                                                                         result.assignments, h)
         pairwise = vectorsom.squared_distances_to_prototypes(vectors, vectors)
         grid = quality.umatrix_from_pairwise(pairwise, lattice)
     else:

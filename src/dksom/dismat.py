@@ -60,26 +60,66 @@ class ValidationReport:
         return json.dumps(self.as_dict(), indent=2)
 
 
-def _as_square(values, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+BLOCK_ROWS = 256  # N x N work runs on blocks of this many rows, so its temporaries stay small
+
+
+def _row_blocks(n: int):
+    for start in range(0, n, BLOCK_ROWS):
+        yield slice(start, min(start + BLOCK_ROWS, n))
+
+
+def _square_copy(values, what: str) -> np.ndarray:
+    """A float copy of values, checked to be square and non-empty; the copy
+    is what gets frozen, so the caller's array is never frozen or aliased."""
+    arr = np.array(values, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise MatrixFormatError(f"{what} must be a square 2-D array, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise MatrixFormatError(f"{what} is empty")
-    if not np.all(np.isfinite(arr)):
-        raise MatrixValidationError(f"{what} contains non-finite entries")
     return arr
 
 
-def _symmetrize(arr: np.ndarray, what: str) -> tuple[np.ndarray, float]:
-    asym = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
+def _uneven_pairs(arr: np.ndarray) -> list[tuple[slice, slice]]:
+    """Row-block pairs (rows, cols), rows up to cols, where arr[rows, cols]
+    is not bitwise arr[cols, rows]^T; a pair of zeros of opposite sign counts."""
+    blocks = list(_row_blocks(arr.shape[0]))
+    return [(rows, cols) for b, rows in enumerate(blocks) for cols in blocks[b:]
+            if not np.array_equal(arr[rows, cols].view(np.int64),
+                                  arr[cols, rows].T.view(np.int64))]
+
+
+def _own(arr: np.ndarray, what: str, nonnegative: bool) -> tuple[np.ndarray, float]:
+    """Validate a square float array that nothing else holds, make it exactly
+    symmetric in place and freeze it; returns it with its largest asymmetry.
+
+    Runs in row blocks and block pairs, so it makes no N x N temporary.
+    Exactly symmetric input comes back unchanged. Other input within
+    ASYMMETRY_TOL is averaged as 0.5 a + 0.5 a^T: in the normal range that is
+    0.5 (a + a^T) bit for bit, and near the largest double it cannot overflow.
+    """
+    lows = []
+    for rows in _row_blocks(arr.shape[0]):
+        low, high = arr[rows].min(), arr[rows].max()  # a NaN makes both NaN
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise MatrixValidationError(f"{what} contains non-finite entries")
+        lows.append(low)
+    if nonnegative and min(lows) < 0.0:
+        i, j = np.unravel_index(int(np.argmin(arr)), arr.shape)
+        raise MatrixValidationError(f"negative dissimilarity entry {arr[i, j]!r} at ({i}, {j})")
+
+    uneven = _uneven_pairs(arr)
+    asym = max((float(np.max(np.abs(arr[rows, cols] - arr[cols, rows].T)))
+                for rows, cols in uneven), default=0.0)
     if asym > ASYMMETRY_TOL:
         raise MatrixValidationError(
             f"{what} asymmetry {asym:.3e} exceeds tolerance {ASYMMETRY_TOL:.0e}"
         )
-    sym = 0.5 * (arr + arr.T)
-    sym.setflags(write=False)
-    return sym, asym
+    for rows, cols in uneven:
+        mean = 0.5 * arr[rows, cols] + 0.5 * arr[cols, rows].T
+        arr[rows, cols] = mean
+        arr[cols, rows] = mean.T
+    arr.setflags(write=False)
+    return arr, asym
 
 
 @dataclass(frozen=True)
@@ -100,13 +140,13 @@ class DissimilarityMatrix:
 
     @classmethod
     def from_array(cls, values) -> "DissimilarityMatrix":
-        arr = _as_square(values, "dissimilarity matrix")
-        if arr.min() < 0.0:
-            i, j = np.unravel_index(int(np.argmin(arr)), arr.shape)
-            raise MatrixValidationError(
-                f"negative dissimilarity entry {arr[i, j]!r} at ({i}, {j})"
-            )
-        sym, asym = _symmetrize(arr, "dissimilarity matrix")
+        """Validate a copy of values; values itself is left as it is."""
+        return cls._owning(_square_copy(values, "dissimilarity matrix"))
+
+    @classmethod
+    def _owning(cls, arr: np.ndarray) -> "DissimilarityMatrix":
+        """Validate, symmetrize and freeze arr in place; nothing else may hold arr."""
+        sym, asym = _own(arr, "dissimilarity matrix", nonnegative=True)
         zero_diag = bool(np.max(np.abs(np.diag(sym))) < ZERO_DIAG_TOL)
         return cls(values=sym, zero_diag=zero_diag, max_asymmetry=asym)
 
@@ -124,8 +164,13 @@ class KernelMatrix:
 
     @classmethod
     def from_array(cls, values) -> "KernelMatrix":
-        arr = _as_square(values, "kernel matrix")
-        sym, asym = _symmetrize(arr, "kernel matrix")
+        """Validate a copy of values; values itself is left as it is."""
+        return cls._owning(_square_copy(values, "kernel matrix"))
+
+    @classmethod
+    def _owning(cls, arr: np.ndarray) -> "KernelMatrix":
+        """Validate, symmetrize and freeze arr in place; nothing else may hold arr."""
+        sym, asym = _own(arr, "kernel matrix", nonnegative=False)
         return cls(values=sym, max_asymmetry=asym)
 
     def psd_margin(self) -> float:
@@ -212,9 +257,9 @@ def load_matrix(path, kind: str) -> DissimilarityMatrix | KernelMatrix:
             f"{path}: non-square matrix ({arr.shape[0]} rows x {arr.shape[1]} columns)"
         )
     if kind == "dissimilarity":
-        return DissimilarityMatrix.from_array(arr)
+        return DissimilarityMatrix._owning(arr)
     if kind == "kernel":
-        return KernelMatrix.from_array(arr)
+        return KernelMatrix._owning(arr)
     raise ValueError(f"unknown matrix kind {kind!r}")
 
 
@@ -253,6 +298,25 @@ def save_vector(values, path) -> None:
                 fh.write(f"{repr(float(v))}\n")
 
 
+def _squared_distances(gram: np.ndarray, diag: np.ndarray, out: np.ndarray) -> float:
+    """out_ij = (diag_i + diag_j) - 2 gram_ij, clipped at zero, zero diagonal.
+
+    Works in row blocks, so out may be gram itself and the only temporaries
+    are BLOCK_ROWS x N. The values are those of the dense formula bit for
+    bit: s - 2g is s + (-2g). Returns the smallest entry before clipping,
+    NaN if some entry is NaN.
+    """
+    lowest = np.inf
+    for rows in _row_blocks(diag.shape[0]):
+        block = out[rows]
+        np.multiply(gram[rows], -2.0, out=block)
+        block += diag[rows, None] + diag[None, :]
+        lowest = np.minimum(lowest, block.min())
+        np.clip(block, 0.0, None, out=block)
+        np.fill_diagonal(block[:, rows], 0.0)
+    return float(lowest)
+
+
 def kernel_to_dissimilarity(kernel: KernelMatrix) -> DissimilarityMatrix:
     """Induced squared distance D_ij = K_ii + K_jj - 2 K_ij.
 
@@ -261,29 +325,30 @@ def kernel_to_dissimilarity(kernel: KernelMatrix) -> DissimilarityMatrix:
     round-off above that threshold is clamped to zero.
     """
     k = kernel.values
-    diag = np.diag(k)
-    d = diag[:, None] + diag[None, :] - 2.0 * k
-    lowest = float(d.min())
+    d = np.empty_like(k)
+    lowest = _squared_distances(k, np.diag(k), out=d)
     if lowest < -NEGATIVE_CONVERSION_TOL:
         raise MatrixValidationError(
             f"kernel-induced dissimilarity has negative entry {lowest:.3e}; "
             "input kernel is not positive semidefinite"
         )
-    np.clip(d, 0.0, None, out=d)
-    np.fill_diagonal(d, 0.0)
-    d = 0.5 * (d + d.T)
-    return DissimilarityMatrix.from_array(d)
+    return DissimilarityMatrix._owning(d)
 
 
 def squared_euclidean(dataset: VectorDataset) -> DissimilarityMatrix:
-    """Pairwise squared Euclidean distances, zero diagonal."""
+    """Pairwise squared Euclidean distances, zero diagonal.
+
+    D overwrites the Gram matrix x x^T, so D is the only N x N array made.
+    """
     x = dataset.points
     sq = np.einsum("ij,ij->i", x, x)
-    d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.clip(d, 0.0, None, out=d)
-    np.fill_diagonal(d, 0.0)
-    d = 0.5 * (d + d.T)  # gram products are not exactly symmetric
-    return DissimilarityMatrix.from_array(d)
+    d = x @ x.T
+    _squared_distances(d, sq, out=d)
+    for rows, cols in _uneven_pairs(d):  # NumPy's x x^T is symmetric; other BLAS calls may not be
+        mean = 0.5 * (d[rows, cols] + d[cols, rows].T)
+        d[rows, cols] = mean
+        d[cols, rows] = mean.T
+    return DissimilarityMatrix._owning(d)
 
 
 def _count_metric_violations(d: np.ndarray) -> int:

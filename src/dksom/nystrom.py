@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dismat import _row_blocks
 from .lattice import Lattice, Schedule
 from .relsom import (
     CoefficientSOMResult,
@@ -83,10 +84,22 @@ def nystrom_fit(kernel, m: int, seed: int = 0, rank_tol: float = DEFAULT_RANK_TO
 
 
 def double_center(d_values: np.ndarray) -> np.ndarray:
-    """S = -1/2 J D J with J = I - 11^T/N; Gram matrix of any Euclidean embedding of D."""
+    """S = -1/2 J D J with J = I - 11^T/N; Gram matrix of any Euclidean embedding of D.
+
+    Written in row blocks, so S is the only N x N array made; each entry is
+    -1/2 (((D_ij - r_i) - r_j) + t), r the row means and t their mean, as the
+    dense formula rounds it.
+    """
     row = d_values.mean(axis=1)
     total = row.mean()
-    return -0.5 * (d_values - row[:, None] - row[None, :] + total)
+    s = np.empty_like(d_values)
+    for rows in _row_blocks(row.shape[0]):
+        block = s[rows]
+        np.subtract(d_values[rows], row[rows, None], out=block)
+        block -= row[None, :]
+        block += total
+        block *= -0.5
+    return s
 
 
 def nystrom_fit_dissimilarity(

@@ -55,6 +55,31 @@ def clustering_cost(d_values: np.ndarray, assignments: np.ndarray, h: np.ndarray
     return float(0.5 * np.sum(quad[alive] / sizes[alive]))
 
 
+def vector_clustering_cost(points: np.ndarray, assignments: np.ndarray, h: np.ndarray) -> float:
+    """clustering_cost on the squared Euclidean D of points, read from the points.
+
+    By the weighted Konig-Huygens identity, unit k's term is the scatter of
+    its weighted points about their barycenter b_k, which splits over the
+    clusters C_l as sum_l h_kl (S_l + |C_l| |mu_l - b_k|^2), S_l the scatter
+    of C_l about its mean mu_l: O(N p + K^2 p) and no N x N matrix. Every
+    term squares a difference of points or means, never takes a difference
+    of squares, so data far from the origin keeps its digits. Units with
+    zero total weight contribute 0.
+    """
+    k = h.shape[0]
+    counts = np.bincount(assignments, minlength=k).astype(float)
+    means = unit_row_sums(points, assignments, k) / np.maximum(counts, 1.0)[:, None]
+    resid = points - means[assignments]
+    scatter = np.bincount(assignments, weights=np.einsum("ip,ip->i", resid, resid), minlength=k)
+    sizes = h @ counts
+    total = 0.0
+    for unit in np.flatnonzero(sizes > 0.0):
+        weights = h[unit] * counts
+        gap = means - weights @ means / sizes[unit]
+        total += h[unit] @ scatter + weights @ np.einsum("lp,lp->l", gap, gap)
+    return float(total)
+
+
 def criterion_report(d_values: np.ndarray, protos, assignments: np.ndarray, h: np.ndarray,
                      distances: np.ndarray | None = None) -> CriterionReport:
     """Both costs and the unit sizes; distances, when given, are the N x K

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,67 @@ def test_train_classic_batch_on_vectors(fixtures):
                "--out", str(out)])
     assert rc == 0
     assert (out / "prototypes.csv").exists()
+
+
+def test_classic_rejects_vectors_whose_squared_distances_overflow(tmp_path, capsys):
+    vec = tmp_path / "huge.csv"
+    vec.write_text("1e200,0\n0,-1e200\n3e200,2e200\n")
+    rc = main(["train", "--algorithm", "classic-batch", "--input", str(vec),
+               "--input-kind", "vectors", "--rows", "1", "--cols", "2", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "overflow squared distances" in capsys.readouterr().err
+
+
+def test_median_on_entries_near_the_largest_double(tmp_path):
+    dis = tmp_path / "big.csv"
+    dis.write_text("0,1.7e308\n1.7e308,0\n")
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["train", "--algorithm", "median", "--input", str(dis),
+                   "--input-kind", "dissimilarity", "--rows", "1", "--cols", "2", "--out", str(out)])
+    assert rc == 0
+    assert sorted((out / "prototype_indices.txt").read_text().split()) == ["0", "1"]
+    assert json.loads((out / "report.json").read_text())["collisions_unresolved"] == 0
+
+
+# each family's ignored settings among: --init-mode uniform --sigma-final 0.2
+# --eps0 0.4 --t-max 6 --schedule-mode fixed --beta-factor 1.2 --nystrom-seed 3
+BATCH_IGNORES = ["schedule.eps0", "stmp.beta_factor", "nystrom.seed"]
+ONLINE_IGNORES = ["stmp.beta_factor", "nystrom.seed"]
+
+
+@pytest.mark.parametrize("algorithm, kind, ignored", [
+    ("classic-batch", "vec", ["init.mode"] + BATCH_IGNORES),
+    ("classic-online", "vec", ["init.mode"] + ONLINE_IGNORES),
+    ("median", "dis", ["init.mode"] + BATCH_IGNORES),
+    ("relational-batch", "dis", BATCH_IGNORES),
+    ("relational-online", "dis", ONLINE_IGNORES),
+    ("kernel-batch", "ker", BATCH_IGNORES),
+    ("kernel-online", "ker", ONLINE_IGNORES),
+    ("stmp", "dis", ["init.mode", "schedule.sigma_final", "schedule.eps0", "schedule.t_max",
+                     "schedule.mode", "nystrom.seed"]),
+])
+def test_report_lists_the_settings_a_family_ignores(fixtures, algorithm, kind, ignored):
+    kinds = {"vec": "vectors", "dis": "dissimilarity", "ker": "kernel"}
+    common = ["train", "--algorithm", algorithm, "--input", str(fixtures[kind]),
+              "--input-kind", kinds[kind], "--rows", "2", "--cols", "2"]
+    out = fixtures["tmp"] / "plain"
+    assert main([*common, "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["ignored_settings"] == []
+    out = fixtures["tmp"] / "set"
+    assert main([*common, "--out", str(out), "--init-mode", "uniform", "--sigma-final", "0.2",
+                 "--eps0", "0.4", "--t-max", "6", "--schedule-mode", "fixed",
+                 "--beta-factor", "1.2", "--nystrom-seed", "3"]) == 0
+    assert json.loads((out / "report.json").read_text())["ignored_settings"] == ignored
+
+
+def test_nystrom_seed_is_read_with_landmarks(fixtures):
+    out = fixtures["tmp"] / "run"
+    assert main(["train", "--algorithm", "relational-batch", "--input", str(fixtures["dis"]),
+                 "--input-kind", "dissimilarity", "--rows", "2", "--cols", "2", "--out", str(out),
+                 "--nystrom-landmarks", "5", "--nystrom-seed", "3"]) == 0
+    assert json.loads((out / "report.json").read_text())["ignored_settings"] == []
 
 
 def test_kernel_algorithm_requires_kernel_input(fixtures, capsys):

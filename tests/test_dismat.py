@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dksom.dismat import (
+    BLOCK_ROWS,
     DissimilarityMatrix,
     KernelMatrix,
     MatrixFormatError,
@@ -69,6 +70,49 @@ def test_tiny_asymmetry_is_symmetrized_and_recorded():
     d = DissimilarityMatrix.from_array(a)
     assert d.values[0, 1] == d.values[1, 0]
     assert 0.0 < d.max_asymmetry < 1e-11
+
+
+@pytest.mark.parametrize("n", [1, 100, 300, 2 * BLOCK_ROWS + 7])  # one point, below a block, ragged
+@pytest.mark.parametrize("p", [1, 2, 40])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_builders_bit_equal_to_dense_formula(n, p, scale):
+    rng = np.random.default_rng(n * p)
+    x = rng.normal(size=(n, p)) * scale
+
+    def dense(diag, gram):
+        d = diag[:, None] + diag[None, :] - 2.0 * gram
+        np.clip(d, 0.0, None, out=d)
+        np.fill_diagonal(d, 0.0)
+        return 0.5 * (d + d.T)
+
+    d = squared_euclidean(VectorDataset.from_array(x)).values
+    assert d.tobytes() == dense(np.einsum("ij,ij->i", x, x), x @ x.T).tobytes()
+    assert not d.flags.writeable
+    k = KernelMatrix.from_array(x @ x.T + scale * scale * np.eye(n))
+    d = kernel_to_dissimilarity(k).values
+    assert d.tobytes() == dense(np.diag(k.values), k.values).tobytes()
+
+
+@pytest.mark.parametrize("cls", [DissimilarityMatrix, KernelMatrix])
+def test_from_array_neither_freezes_nor_aliases_its_argument(cls):
+    a = np.array([[0.0, 2.0], [2.0, 0.0]])
+    m = cls.from_array(a)
+    assert a.flags.writeable and not m.values.flags.writeable
+    assert not np.shares_memory(a, m.values)
+    a[0, 1] = a[1, 0] = 3.0
+    assert m.values[0, 1] == 2.0
+
+
+def test_from_array_keeps_values_near_the_largest_double_finite():
+    # 0.5 * (a + a^T) overflows here; symmetric input must come back unchanged
+    a = np.array([[0.0, 1.7e308], [1.7e308, 0.0]])
+    for cls in (DissimilarityMatrix, KernelMatrix):
+        np.testing.assert_array_equal(cls.from_array(a).values, a)
+
+
+def test_opposite_signed_zeros_symmetrize_to_positive_zero():
+    d = DissimilarityMatrix.from_array([[0.0, -0.0], [0.0, 0.0]])
+    assert not np.signbit(d.values).any()
 
 
 def test_csv_round_trip_bit_identical(tmp_path):

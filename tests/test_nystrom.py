@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dksom.dismat import (
+    BLOCK_ROWS,
     DissimilarityMatrix,
     KernelMatrix,
     VectorDataset,
@@ -53,6 +54,17 @@ def test_double_center_matches_gram_identity():
     xc = x - x.mean(axis=0)
     d = squared_euclidean(VectorDataset.from_array(x)).values
     np.testing.assert_allclose(double_center(d), xc @ xc.T, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 5, 2 * BLOCK_ROWS + 7])
+def test_double_center_bit_equal_to_dense_formula(n):
+    # rank_tol amplifies rounding, so the blocked S must round as the dense one
+    rng = np.random.default_rng(n)
+    d = rng.random((n, n)) * 1e3
+    d = d + d.T
+    row = d.mean(axis=1)
+    dense = -0.5 * (d - row[:, None] - row[None, :] + row.mean())
+    assert double_center(d).tobytes() == dense.tobytes()
 
 
 def test_dissimilarity_fit_reconstructs_with_zero_diagonal():

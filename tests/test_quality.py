@@ -12,6 +12,7 @@ from dksom.quality import (
     save_umatrix_pgm,
     triangle_bound_sides,
     umatrix,
+    vector_clustering_cost,
     verify_koenig_huygens,
     verify_triangle_bound,
 )
@@ -55,6 +56,21 @@ def test_clustering_cost_block_sums_match_dense_form(topology):
         assert alive[:5].all() and alive[5] == (sigma > 1.0)
         dense = 0.5 * np.sum(np.diag(w @ d @ w.T)[alive] / size[alive])
         assert clustering_cost(d, c, h) == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale, offset", [(1.0, 0.0), (1e-6, 0.0), (1e6, 0.0), (1.0, 1e6)])
+def test_vector_clustering_cost_matches_d_based_cost(scale, offset):
+    rng = np.random.default_rng(12)
+    x = np.vstack([rng.normal(size=(40, 3)), rng.normal(size=(30, 3)) + 4.0]) * scale + offset
+    # at a 1e6 offset the D of the raw points has lost about 4 digits to
+    # cancellation; D is translation invariant, so the reference takes the offset off
+    d = squared_euclidean(VectorDataset.from_array(x - offset)).values
+    lat = Lattice(3, 4)
+    c = rng.choice([0, 2, 3, 7, 11], size=70)  # 7 of the 12 units hold no point
+    for sigma in (2.0, 0.3, 0.02):  # at 0.02 the empty units have no weight at all
+        h = lat.neighborhood(sigma)
+        expected = clustering_cost(d, c, h)
+        assert vector_clustering_cost(x, c, h) == pytest.approx(expected, rel=1e-9)
 
 
 def test_criterion_report_reads_given_distances():
