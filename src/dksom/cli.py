@@ -300,10 +300,12 @@ def cmd_train(args) -> int:
     }
     artifacts = {}
     files = {"assignment": ("assignment.txt", result.assignments), **run.files}
+    t0 = time.perf_counter_ns()
     for key, (name, values, *header) in files.items():
         save = save_vector if np.ndim(values) == 1 else save_matrix
         save(values, outdir / name, *header)
         artifacts[key] = str(outdir / name)
+    write_ns = time.perf_counter_ns() - t0
 
     h = lattice.neighborhood(result.final_sigma)
     if run.protos is None:  # vector prototypes: quantize the vectors themselves
@@ -323,8 +325,10 @@ def cmd_train(args) -> int:
         grid = quality.umatrix(run.protos, run.dm.values, lattice)
     report["criterion_trace"] = run.criterion_trace
 
+    t0 = time.perf_counter_ns()
     quality.save_umatrix_csv(grid, outdir / "umatrix.csv")
     quality.save_umatrix_pgm(grid, outdir / "umatrix.pgm")
+    report["write_ns"] = write_ns + time.perf_counter_ns() - t0
     artifacts["umatrix_csv"] = str(outdir / "umatrix.csv")
     artifacts["umatrix_pgm"] = str(outdir / "umatrix.pgm")
 
@@ -351,14 +355,37 @@ def cmd_verify(args) -> int:
     return 0 if ok else 2
 
 
+def _load_prototypes(path, kind: str, n: int, k_units: int) -> np.ndarray:
+    """Saved prototypes for n points and k_units units: median indices, each an
+    integer in [0, n), or a k_units x n coefficient matrix whose rows are
+    non-negative and sum to 1 within relsom.COEFF_SUM_TOL."""
+    raw = load_array(path)
+    if kind == "median":
+        idx = raw.ravel()
+        if idx.size != k_units:
+            raise ValueError(f"{path}: {idx.size} prototype indices for {k_units} units")
+        bad = ~((idx >= 0) & (idx < n) & (idx == np.floor(idx)))  # NaN is bad too
+        if bad.any():
+            raise ValueError(f"{path}: prototype index {idx[bad][0]:g} "
+                             f"is not an integer in [0, {n})")
+        return idx.astype(np.int64)
+    if raw.shape != (k_units, n):
+        raise ValueError(f"{path}: coefficients are {raw.shape[0]} x {raw.shape[1]}, "
+                         f"expected {k_units} x {n}")
+    if not np.all(raw >= 0.0):
+        raise ValueError(f"{path}: coefficients must be non-negative numbers")
+    sums = raw.sum(axis=1)
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= relsom.COEFF_SUM_TOL))
+    if bad.size:
+        raise ValueError(f"{path}: coefficients of unit {bad[0]} sum to {float(sums[bad[0]])!r},"
+                         " expected 1")
+    return raw
+
+
 def cmd_umatrix(args) -> int:
     lattice = Lattice(args.rows, args.cols, args.topology)
     dm = _dissimilarity_for(_load_input(args.input, args.input_kind), args.input_kind)
-    raw = load_array(args.prototypes)
-    if args.prototype_kind == "median":
-        protos = raw.ravel().astype(np.int64)
-    else:
-        protos = raw
+    protos = _load_prototypes(args.prototypes, args.prototype_kind, dm.n, lattice.n_units)
     grid = quality.umatrix(protos, dm.values, lattice)
     quality.save_umatrix_csv(grid, f"{args.out}.csv")
     quality.save_umatrix_pgm(grid, f"{args.out}.pgm")

@@ -274,18 +274,25 @@ def load_array(path) -> np.ndarray:
 
 
 def save_matrix(values: np.ndarray, path, header: str | None = None) -> None:
-    """Write a matrix as CSV with shortest round-trip float formatting,
-    after an optional '# header' line.
+    """Write a matrix as CSV with shortest round-trip float formatting
+    (repr), after an optional '# header' line.
 
-    load -> save -> load reproduces values bit for bit.
+    load -> save -> load reproduces values bit for bit. Each block of
+    BLOCK_ROWS rows formats every distinct bit pattern once: coefficient
+    rows h[k, c] / n_k hold at most K distinct values. Deduplicating on the
+    bits, not the float values, keeps 0.0 apart from -0.0 and every NaN
+    apart, so the text is that of repr on each entry.
     """
-    arr = np.asarray(values, dtype=float)
+    arr = np.atleast_2d(np.asarray(values, dtype=float))
     with open(path, "w") as fh:
         if header is not None:
             fh.write(f"# {header}\n")
-        for row in np.atleast_2d(arr):
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+        for rows in _row_blocks(arr.shape[0]):
+            block = np.ascontiguousarray(arr[rows])
+            bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+            text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+            cells = text[inverse.reshape(block.shape)]
+            fh.writelines(",".join(row) + "\n" for row in cells.tolist())
 
 
 def save_vector(values, path) -> None:

@@ -58,14 +58,16 @@ class NystromFactor:
         return self.c_block.shape[1]
 
 
-def _fit(values: np.ndarray, m: int, seed: int, rank_tol: float, kind: str) -> NystromFactor:
-    n = values.shape[0]
+def _landmarks(n: int, m: int, seed: int) -> np.ndarray:
     if not 1 <= m <= n:
         raise ValueError(f"landmark count must be in [1, {n}], got {m}")
     rng = np.random.default_rng(seed)
-    landmarks = np.sort(rng.choice(n, size=m, replace=False))
-    c = values[:, landmarks]
-    w = values[np.ix_(landmarks, landmarks)]
+    return np.sort(rng.choice(n, size=m, replace=False))
+
+
+def _factor(c: np.ndarray, landmarks: np.ndarray, rank_tol: float, kind: str) -> NystromFactor:
+    """Factor from the sampled columns c (N x m) of the landmark indices."""
+    w = c[landmarks]
     lam, vec = np.linalg.eigh(w)
     lam_max = float(lam[-1])
     keep = lam > rank_tol * lam_max if lam_max > 0.0 else np.zeros_like(lam, dtype=bool)
@@ -76,6 +78,11 @@ def _fit(values: np.ndarray, m: int, seed: int, rank_tol: float, kind: str) -> N
     return NystromFactor(
         kind, landmarks, c, w_pinv, rank_tol, int(np.count_nonzero(keep)), p, g
     )
+
+
+def _fit(values: np.ndarray, m: int, seed: int, rank_tol: float, kind: str) -> NystromFactor:
+    landmarks = _landmarks(values.shape[0], m, seed)
+    return _factor(values[:, landmarks], landmarks, rank_tol, kind)
 
 
 def nystrom_fit(kernel, m: int, seed: int = 0, rank_tol: float = DEFAULT_RANK_TOL) -> NystromFactor:
@@ -102,6 +109,18 @@ def double_center(d_values: np.ndarray) -> np.ndarray:
     return s
 
 
+def _centered_columns(d_values: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """double_center(d_values)[:, cols], bit for bit, without the N x N S:
+    the same elementwise expression, evaluated on the m columns only."""
+    row = d_values.mean(axis=1)
+    c = d_values[:, cols]
+    c -= row[:, None]
+    c -= row[None, cols]
+    c += row.mean()
+    c *= -0.5
+    return c
+
+
 def nystrom_fit_dissimilarity(
     dismatrix, m: int, seed: int = 0, rank_tol: float = DEFAULT_RANK_TOL
 ) -> NystromFactor:
@@ -110,9 +129,12 @@ def nystrom_fit_dissimilarity(
     The implied reconstruction is D~_ij = g_i + g_j - 2 S~_ij, which has an
     exactly zero diagonal; for non-Euclidean D the indefinite part is
     truncated by rank_tol and reconstruction error is a diagnostic, not a
-    bounded quantity.
+    bounded quantity. Only the m landmark columns of S are formed: O(N^2)
+    reads for the row means, O(N m) memory.
     """
-    return _fit(double_center(dismatrix.values), m, seed, rank_tol, "dissimilarity")
+    d = dismatrix.values
+    landmarks = _landmarks(d.shape[0], m, seed)
+    return _factor(_centered_columns(d, landmarks), landmarks, rank_tol, "dissimilarity")
 
 
 def reconstruct_similarity(factor: NystromFactor) -> np.ndarray:

@@ -4,10 +4,17 @@ import warnings
 import numpy as np
 import pytest
 
-from dksom import quality
+from dksom import quality, relsom
 from dksom.cli import ALGORITHMS, DEFAULTS, INPUT_KINDS, _train, main, parse_config
-from dksom.dismat import VectorDataset, load_matrix, load_vectors, save_matrix, squared_euclidean
-from dksom.lattice import Lattice
+from dksom.dismat import (
+    VectorDataset,
+    load_array,
+    load_matrix,
+    load_vectors,
+    save_matrix,
+    squared_euclidean,
+)
+from dksom.lattice import Lattice, Schedule
 from dksom.nystrom import double_center
 
 
@@ -414,6 +421,60 @@ def test_umatrix_subcommand_round_trip(fixtures):
     redo = (prefix.parent / (prefix.name + ".csv")).read_text()
     original = (out / "umatrix.csv").read_text()
     assert redo == original
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("median", "0\n5\n40\n7\n", "40 is not an integer"),
+    ("median", "0\nnan\n3\n7\n", "nan is not an integer"),
+    ("median", "0\n-1\n3\n7\n", "-1 is not an integer"),
+    ("median", "0\n1.7\n3\n7\n", "1.7 is not an integer"),
+    ("median", "0\n5\n3\n", "3 prototype indices for 4 units"),
+    ("coefficients", "2 rows", "of unit 0 sum to 2.0"),
+    ("coefficients", "negative", "non-negative"),
+    ("coefficients", "3 units", "are 3 x 40, expected 4 x 40"),
+], ids=["index-n", "nan", "minus-one", "fraction", "too-few", "sum-2", "negative", "shape"])
+def test_umatrix_rejects_bad_prototype_files(fixtures, capsys, kind, text, message):
+    path = fixtures["tmp"] / "protos.csv"
+    if kind == "median":
+        path.write_text(text)
+    else:
+        coeffs = np.full((4, 40), 1.0 / 40)
+        if text == "2 rows":
+            coeffs = 2.0 * coeffs
+        elif text == "negative":
+            coeffs[1, :2] = [-1.0 / 40, 3.0 / 40]
+        save_matrix(coeffs[:3] if text == "3 units" else coeffs, path)
+    rc = main(["umatrix", "--input", str(fixtures["dis"]), "--input-kind", "dissimilarity",
+               "--prototypes", str(path), "--prototype-kind", kind,
+               "--rows", "2", "--cols", "2", "--out", str(fixtures["tmp"] / "u")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm, kind", [
+    ("classic-batch", "vec"), ("classic-online", "vec"), ("median", "dis"),
+    ("relational-batch", "dis"), ("relational-online", "dis"), ("kernel-batch", "ker"),
+    ("kernel-online", "ker"), ("stmp", "dis"),
+])
+def test_report_carries_write_time(fixtures, algorithm, kind):
+    out = fixtures["tmp"] / f"run-{algorithm}"
+    rc = main(["train", "--config", str(fixtures["cfg"]), "--algorithm", algorithm,
+               "--input", str(fixtures[kind]),
+               "--input-kind", {"vec": "vectors", "dis": "dissimilarity", "ker": "kernel"}[kind],
+               "--out", str(out)])
+    assert rc == 0
+    write_ns = json.loads((out / "report.json").read_text())["write_ns"]
+    assert isinstance(write_ns, int) and write_ns >= 0
+
+
+def test_cli_coefficients_file_is_bitwise_the_trainer_output(fixtures):
+    out = fixtures["tmp"] / "run-bits"
+    assert main(["train", "--config", str(fixtures["cfg"]), "--algorithm", "relational-batch",
+                 "--input", str(fixtures["dis"]), "--input-kind", "dissimilarity",
+                 "--out", str(out)]) == 0
+    result = relsom.train_batch_relational(load_matrix(fixtures["dis"], "dissimilarity"),
+                                           Lattice(2, 2), Schedule(8, seed=5))
+    assert load_array(out / "coefficients.csv").tobytes() == result.coefficients.tobytes()
 
 
 def _write_inputs(directory, x):

@@ -9,6 +9,7 @@ from dksom.dismat import (
     MatrixValidationError,
     VectorDataset,
     kernel_to_dissimilarity,
+    load_array,
     load_matrix,
     load_vectors,
     save_matrix,
@@ -123,6 +124,60 @@ def test_csv_round_trip_bit_identical(tmp_path):
     save_matrix(d.values, path)
     back = load_matrix(path, "dissimilarity")
     assert np.array_equal(back.values, d.values)  # exact, not approximate
+
+
+def _repr_loop_text(values, header=None) -> str:
+    """The CSV text of one repr per entry, the writer's reference."""
+    lines = [] if header is None else [f"# {header}\n"]
+    for row in np.atleast_2d(np.asarray(values, dtype=float)):
+        lines.append(",".join(repr(float(v)) for v in row) + "\n")
+    return "".join(lines)
+
+
+_BIG = np.finfo(float).max
+_EDGES = np.array([[0.0, -0.0, np.nan, np.inf, -np.inf],
+                   [5e-324, -5e-324, _BIG, -_BIG, 0.1],
+                   [-0.0, 0.0, 1.0, -np.nan, 0.1]])
+
+
+def _writer_inputs():
+    rng = np.random.default_rng(5)
+    repeats = rng.choice([0.0, -0.0, 0.25, 1.0 / 3.0, 1e-300], size=(7, 9))
+    square = rng.normal(size=(12, 12))
+    coefficients = rng.choice(rng.random(40), size=(600, 50))  # several BLOCK_ROWS blocks
+    return {
+        "edges": _EDGES,
+        "nan-payloads": np.array([[np.nan, np.uint64(0x7FF8000000000001).view(np.float64)]]),
+        "ints": np.arange(-6, 6).reshape(3, 4),
+        "1-d": rng.random(11),
+        "repeats": repeats,
+        "strided": square[::2, 1::3],
+        "fortran": np.asfortranarray(square),
+        "several-blocks": coefficients,
+        "empty-rows": np.zeros((3, 0)),
+    }
+
+
+@pytest.mark.parametrize("header", [None, "a,b"])
+@pytest.mark.parametrize("name", list(_writer_inputs()))
+def test_save_matrix_text_equals_repr_of_each_entry(tmp_path, name, header):
+    values = _writer_inputs()[name]
+    path = tmp_path / "m.csv"
+    save_matrix(values, path, header)
+    with open(path, newline="") as fh:
+        assert fh.read() == _repr_loop_text(values, header)
+
+
+@pytest.mark.parametrize("header", [None, "a,b"])
+def test_load_save_load_is_bitwise(tmp_path, header):
+    rng = np.random.default_rng(8)
+    values = np.vstack([_EDGES[:, [0, 1, 3, 4]][:2], rng.normal(size=(BLOCK_ROWS + 3, 4)) * 1e9])
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    save_matrix(values, first, header)
+    loaded = load_array(first)
+    save_matrix(loaded, second, header)
+    assert load_array(second).tobytes() == loaded.tobytes() == values.tobytes()
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_csv_header_and_blank_lines(tmp_path):

@@ -11,6 +11,8 @@ from dksom.dismat import (
 )
 from dksom.lattice import Lattice, Schedule
 from dksom.nystrom import (
+    DEFAULT_RANK_TOL,
+    _fit,
     approx_relational_distances,
     double_center,
     nystrom_fit,
@@ -65,6 +67,24 @@ def test_double_center_bit_equal_to_dense_formula(n):
     row = d.mean(axis=1)
     dense = -0.5 * (d - row[:, None] - row[None, :] + row.mean())
     assert double_center(d).tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 300, 519])
+def test_dissimilarity_fit_bit_equal_to_fit_on_full_double_center(n):
+    rng = np.random.default_rng(n)
+    d = rng.random((n, n)) * 1e3
+    d = d + d.T
+    np.fill_diagonal(d, 0.0)
+    dm = DissimilarityMatrix.from_array(d)
+    for m in sorted({1, max(n // 2, 1), n}):
+        fit = nystrom_fit_dissimilarity(dm, m, seed=m)
+        reference = _fit(double_center(dm.values), m, m, DEFAULT_RANK_TOL, "dissimilarity")
+        for name, value in vars(reference).items():
+            got = getattr(fit, name)
+            if isinstance(value, np.ndarray):
+                assert got.shape == value.shape and got.tobytes() == value.tobytes(), (m, name)
+            else:
+                assert got == value, (m, name)
 
 
 def test_dissimilarity_fit_reconstructs_with_zero_diagonal():
