@@ -223,7 +223,8 @@ def _train(cfg, data, kind, lattice) -> _Run:
     if alg == "median":
         result = mediansom.train_batch_median(dm, lattice, schedule)
         fields = {key: getattr(result, key) for key in
-                  ("collisions_detected", "collisions_unresolved", "stopped_early")}
+                  ("collisions_detected", "collisions_unresolved", "stopped_early",
+                   "block_sum_passes")}
         return _Run(result, dm, result.prototype_indices,
                     {"prototypes": ("prototype_indices.txt", result.prototype_indices)},
                     fields, result.energy_trace)
@@ -264,6 +265,8 @@ def _train(cfg, data, kind, lattice) -> _Run:
     fields = {key: getattr(result, key) for key in
               ("negative_distances", "empty_unit_events", "stopped_early", "resync_drift_max")}
     fields["phase_timing_ns"] = result.phase_ns
+    if result.block_sum_passes is not None:
+        fields["block_sum_passes"] = result.block_sum_passes
     if landmarks is not None:
         fields["nystrom"] = {"landmarks": landmarks, "seed": nseed, "rank": factor.rank, **sample}
     # kernel and landmark distances are not the relational ones bit for bit
@@ -322,7 +325,8 @@ def cmd_train(args) -> int:
         report["final_quantization_cost"] = crep.quantization_cost
         report["final_clustering_cost"] = crep.clustering_cost
         report["per_unit_sizes"] = crep.per_unit_sizes
-        grid = quality.umatrix(run.protos, run.dm.values, lattice)
+        # in the layout `dksom umatrix` loads them in, so that it reproduces the grid
+        grid = quality.umatrix(np.ascontiguousarray(run.protos), run.dm.values, lattice)
     report["criterion_trace"] = run.criterion_trace
 
     t0 = time.perf_counter_ns()

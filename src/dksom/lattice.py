@@ -54,12 +54,21 @@ class Lattice:
         return self._sqdist
 
     def neighborhood(self, sigma: float) -> np.ndarray:
-        """K x K matrix h_kl = exp(-||r_k - r_l||^2 / (2 sigma^2))."""
+        """K x K matrix h_kl = exp(-||r_k - r_l||^2 / (2 sigma^2)).
+
+        Weights below the smallest normal double are flushed to 0: subnormal
+        weights would carry into the coefficients, where every product that
+        reads them runs far slower. N of them sum to N * 2.2e-308, below
+        vectorsom.EMPTY_UNIT_WEIGHT (1e-300) for any N under 4e7, so no
+        trainer's decision to skip a unit as empty changes.
+        """
         if sigma <= 0.0:
             raise ValueError(f"sigma must be positive, got {sigma}")
         if not np.isfinite(sigma):
             raise ValueError(f"sigma must be finite, got {sigma}")
-        return np.exp(self._sqdist / (-2.0 * sigma * sigma))
+        h = np.exp(self._sqdist / (-2.0 * sigma * sigma))
+        h[h < np.finfo(float).tiny] = 0.0
+        return h
 
 
 def default_sigma_start(lattice: Lattice) -> float:

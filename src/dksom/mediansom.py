@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Lattice, Schedule
-from .relsom import _batch_loop, unit_row_sums
+from .relsom import BlockSums, _batch_loop, unit_row_sums
 
 
 @dataclass
@@ -28,17 +28,21 @@ class MedianSOMResult:
     collisions_detected: int = 0  # units whose unconstrained choice collided, summed over iterations
     collisions_unresolved: int = 0  # duplicate prototypes left at the end (only when K > N)
     stopped_early: bool = False
+    block_sum_passes: dict | None = None  # {"fresh": passes over D, "delta": carried updates}
 
 
-def median_costs(d_values: np.ndarray, assignments: np.ndarray, h: np.ndarray) -> np.ndarray:
+def median_costs(d_values: np.ndarray, assignments: np.ndarray, h: np.ndarray,
+                 sums: BlockSums | None = None) -> np.ndarray:
     """K x N election costs  cost[k, j] = sum_i h(k, c_i) D[i, j].
 
     Naively this is a K x N x N contraction. Grouping rows of D by their
     assigned unit first (S = unit_row_sums, the sums the batch coefficient
     trainers use too) costs one pass over D (N^2 adds), and the contraction
-    collapses to h @ S at N K^2 multiplies.
+    collapses to h @ S at N K^2 multiplies. sums, a BlockSums over d_values,
+    carries S from the previous call instead: O(m N) when m points moved.
     """
-    return h @ unit_row_sums(d_values, assignments, h.shape[0])
+    k = h.shape[0]
+    return h @ (unit_row_sums(d_values, assignments, k) if sums is None else sums(assignments, k))
 
 
 def resolve_collisions(costs: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -81,10 +85,11 @@ def resolve_collisions(costs: np.ndarray) -> tuple[np.ndarray, int, int]:
 
 
 def median_update(
-    d_values: np.ndarray, assignments: np.ndarray, h: np.ndarray
+    d_values: np.ndarray, assignments: np.ndarray, h: np.ndarray,
+    sums: BlockSums | None = None,
 ) -> tuple[np.ndarray, int, int]:
     """One full prototype election: costs, argmin, collision resolution."""
-    return resolve_collisions(median_costs(d_values, assignments, h))
+    return resolve_collisions(median_costs(d_values, assignments, h, sums))
 
 
 def train_batch_median(
@@ -98,16 +103,21 @@ def train_batch_median(
     Runs until the assignment repeats or schedule.steps is reached.
     Prototypes are seeded from a without-replacement draw when K <= N and
     with replacement otherwise (the run then necessarily carries duplicate
-    prototypes, reported via collisions_unresolved).
+    prototypes, reported via collisions_unresolved). The election costs
+    carry their block sums across iterations (BlockSums). D is symmetric, so
+    the distances to the prototypes are read from its rows, which are
+    contiguous, rather than from its columns.
     """
     d = dismatrix.values
     n, k = d.shape[0], lattice.n_units
+    sums = BlockSums(d)
     run = _batch_loop(
         lattice, schedule, stop_on_stable_assignment,
         lambda rng: rng.choice(n, size=k, replace=k > n),
-        lambda protos: d[:, protos], lambda protos, c, h: median_update(d, c, h)[:2],
+        lambda protos, last: np.ascontiguousarray(d[protos].T),
+        lambda protos, c, h: median_update(d, c, h, sums)[:2],
     )
     return MedianSOMResult(
         run.state, run.assignments, run.trace, run.energies, lattice, run.final_sigma,
-        run.events, k - np.unique(run.state).size, run.stopped,
+        run.events, k - np.unique(run.state).size, run.stopped, dict(sums.passes),
     )

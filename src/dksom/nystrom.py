@@ -197,6 +197,7 @@ class _LandmarkState:
     """
 
     kernel_form = True  # distances g_i - 2 (K~ a_k)_i + a_k^T K~ a_k
+    sums = None  # C is only N x m: block makes a fresh pass every time
 
     def __init__(self, factor: NystromFactor):
         self.factor = factor
@@ -208,9 +209,10 @@ class _LandmarkState:
         u = self.rows.T @ a.T  # m x K
         return u.T, np.einsum("mk,mk->k", u, self.factor.w_pinv @ u)
 
-    def block(self, c: np.ndarray, weights: np.ndarray, points=slice(None)):
+    def block(self, c: np.ndarray, weights: np.ndarray, points=slice(None), fresh=False):
         """exact() for the rows a_k with a_k[points[j]] = weights[k, c[j]] and zero
-        elsewhere: U = A C from the per-group row sums of C, O(N m + K L m)."""
+        elsewhere: U = A C from the per-group row sums of C, O(N m + K L m).
+        Every pass is fresh, whatever fresh says."""
         u = (weights @ unit_row_sums(self.rows[points], c, weights.shape[1])).T  # m x K
         return u.T, np.einsum("mk,mk->k", u, self.factor.w_pinv @ u)
 

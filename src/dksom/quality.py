@@ -28,10 +28,13 @@ class CriterionReport:
 
 
 def quantization_cost(d_values: np.ndarray, protos, assignments: np.ndarray, h: np.ndarray) -> float:
-    """sum_k sum_i h(k, c_i) d(x_i, m_k) for median (index) or coefficient prototypes."""
+    """sum_k sum_i h(k, c_i) d(x_i, m_k) for median (index) or coefficient prototypes.
+
+    d_values must be symmetric: median distances are read from its rows.
+    """
     protos = np.asarray(protos)
     if protos.ndim == 1:
-        dist = d_values[:, protos.astype(np.int64)]
+        dist = np.ascontiguousarray(d_values[protos.astype(np.int64)].T)
     else:
         from .relsom import relational_distances
 

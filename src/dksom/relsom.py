@@ -22,7 +22,10 @@ S[l] = sum_{i in C_l} M_i (unit_row_sums), and the quadratic terms
 a_k^T M a_k = sum_i a_ki (A M)_ki follow in O(N K): one pass over M plus
 O(N K^2) per iteration, O(N^2 + N K^2) instead of O(N^2 K) (Conan-Guez,
 Rossi & El Golli, "Fast algorithm and implementation of dissimilarity
-self-organizing maps", Neural Networks 19, 2006); see _train_batch.
+self-organizing maps", Neural Networks 19, 2006); see _train_batch. Few
+points change unit late in a run, so BlockSums carries S from one
+iteration to the next: when m points moved it adds and subtracts their m
+rows, and the iteration costs O(m N + N K^2) instead.
 
 An online update blends each coefficient row with a one-hot vector, so that
 engine keeps G = A M and the quadratic terms up to date in O(K N) per
@@ -61,9 +64,13 @@ class CoefficientSOMResult:
     phase_ns: dict = field(default_factory=dict)  # wall time per phase
     # online trainers: largest epoch-end relative gap between the incremental
     # and the exact state, max|X_incr - X_exact| / max|X_exact| over X = G, q
+    # batch trainers on a dense matrix: the same gap between the carried block
+    # sums and the fresh pass that gives the final distances (see BlockSums)
     resync_drift_max: float | None = None
     # N x K distances under the final coefficients, as the trainer computed them
     distances: np.ndarray | None = None
+    # batch trainers on a dense matrix: {"fresh": passes over M, "delta": carried updates}
+    block_sum_passes: dict | None = None
 
 
 def _check_coefficients(alpha: np.ndarray) -> None:
@@ -155,6 +162,70 @@ def unit_row_sums(m_values: np.ndarray, assignments: np.ndarray, n_units: int) -
     return s
 
 
+CARRY_MOVED_SHARE = 0.25  # BlockSums carries its sums while fewer than this share of points moved
+
+
+class BlockSums:
+    """unit_row_sums(m_values, c, n_groups) for the successive assignments c
+    of a batch run, carried from one call to the next.
+
+    A call on which fewer than CARRY_MOVED_SHARE of the points changed group,
+    and the number of groups did not change, adds each moved row to its new
+    group's sum and subtracts it from its old group's: O(m w) for m moved
+    rows, whatever the number of groups, against O(N w) for a fresh pass
+    over all N rows; with w = N and the O(N K^2) that follows, a batch
+    iteration costs O(N^2 + N K^2) on a fresh pass and O(m N + N K^2) on a
+    carried one. Every other call, and every call with fresh=True, makes a
+    fresh pass. Each column of the sums sees the same sequence of
+    operations, so identical columns of m_values keep bitwise-equal sums
+    either way; a group that loses its last row gets an exact zero row.
+
+    passes counts the calls of each kind. drift is the largest relative gap
+    max|carried - fresh| / max|fresh| seen at a call with fresh=True (0 when
+    the sums would have been fresh anyway), or None before such a call.
+    """
+
+    def __init__(self, m_values: np.ndarray):
+        self.m_values = m_values
+        self.c: np.ndarray | None = None
+        self.s: np.ndarray | None = None
+        self.passes = {"fresh": 0, "delta": 0}
+        self.drift: float | None = None
+
+    def __call__(self, c: np.ndarray, n_groups: int, fresh: bool = False) -> np.ndarray:
+        """The n_groups x w sums for assignments c; callers must not write to them."""
+        carried = self._carry(c, n_groups)
+        if fresh or not carried:
+            s = unit_row_sums(self.m_values, c, n_groups)
+            if fresh:
+                gap = 0.0
+                scale = float(np.max(np.abs(s), initial=0.0))
+                if carried and scale > 0.0:
+                    gap = float(np.max(np.abs(self.s - s))) / scale
+                self.drift = gap if self.drift is None else max(self.drift, gap)
+            self.s = s
+        self.passes["delta" if carried and not fresh else "fresh"] += 1
+        self.c = c.copy()
+        return self.s
+
+    def _carry(self, c: np.ndarray, n_groups: int) -> bool:
+        """Move self.s to the sums for c by the moved rows, if few moved."""
+        if self.c is None or self.s.shape[0] != n_groups:
+            return False
+        moved = np.flatnonzero(c != self.c)
+        if moved.size >= CARRY_MOVED_SHARE * c.size:
+            return False
+        old, new = self.c[moved], c[moved]
+        # one row at a time: cheaper than gathering the moved rows by group
+        for i, to, fro in zip(moved.tolist(), new.tolist(), old.tolist()):
+            row = self.m_values[i]
+            self.s[to] += row
+            self.s[fro] -= row
+        left = np.unique(old)
+        self.s[left[np.bincount(c, minlength=n_groups)[left] == 0]] = 0.0
+        return True
+
+
 def _init_coefficients(
     n: int, n_units: int, rng: np.random.Generator, init_mode: str
 ) -> np.ndarray:
@@ -199,11 +270,12 @@ def _batch_loop(
     """Batch engine of the coefficient and median trainers.
 
     Each iteration assigns every point to its nearest unit under
-    distances(state) (N x K), records the assignments and the map energy,
-    stops if the assignments repeat, and otherwise moves to the state of
-    update(state, assignments, h) -> (state, count of events). The state
+    distances(state, False) (N x K), records the assignments and the map
+    energy, stops if the assignments repeat, and otherwise moves to the state
+    of update(state, assignments, h) -> (state, count of events). The state
     starts as init(rng), called with the schedule's seeded generator after
-    its sigmas are validated.
+    its sigmas are validated. The evaluation after the loop, which gives the
+    final assignments and distances, is distances(state, True).
     """
     sigmas = schedule.sigmas(lattice)
     state = init(np.random.default_rng(schedule.seed))
@@ -218,7 +290,7 @@ def _batch_loop(
     for t in range(schedule.steps):
         h = lattice.neighborhood(sigmas[t])
         t0 = time.perf_counter_ns()
-        dist = distances(state)
+        dist = distances(state, False)
         c = np.argmin(dist, axis=1)
         assign_ns += time.perf_counter_ns() - t0
         negative += int(np.count_nonzero(dist < 0.0))
@@ -233,7 +305,7 @@ def _batch_loop(
         events += count
 
     t0 = time.perf_counter_ns()
-    dist = distances(state)
+    dist = distances(state, True)
     final = np.argmin(dist, axis=1)
     assign_ns += time.perf_counter_ns() - t0
     negative += int(np.count_nonzero(dist < 0.0))
@@ -285,32 +357,36 @@ def _train_batch(
 
     Iteration t costs one pass over matrix.rows plus O(N K^2): the products
     G = A R and the quadratic terms come from matrix.block on the per-unit
-    row sums of R, and the coefficients are formed once, at the end. The
-    first iteration reads R at the seeds (indicator init) or sums it once
-    (uniform init). The dense matrix.dense serves the rows of units that an
-    update skipped as empty, and every row while one unit holds all points:
-    all rows are then the same mathematically, so the distances tie and
-    only the rounding of the dense product tells the units apart.
+    row sums of R, and the coefficients are formed once, at the end. A dense
+    view carries those sums across iterations (BlockSums), so an iteration
+    in which few points moved reads only their rows; the final distances
+    come from a fresh pass. The first iteration reads R at the seeds
+    (indicator init) or sums it once (uniform init). The dense matrix.dense
+    serves the rows of units that an update skipped as empty, and every row
+    while one unit holds all points: all rows are then the same
+    mathematically, so the distances tie and only the rounding of the dense
+    product tells the units apart.
     """
     n, k = matrix.rows.shape[0], lattice.n_units
 
     def init(rng):
         return _Coefficients(_init_coefficients(n, k, rng, init_mode), np.ones(k, dtype=bool))
 
-    def block_distances(c, weights, points=slice(None)):
-        g, q = matrix.block(c, weights, points)
+    def block_distances(c, weights, points=slice(None), fresh=False):
+        g, q = matrix.block(c, weights, points, fresh)
         return _distances(matrix, matrix.cross_all(g), q[:, None], matrix.diag[None, :]).T
 
-    def distances(st: _Coefficients) -> np.ndarray:
+    def distances(st: _Coefficients, last: bool) -> np.ndarray:
         if st.c is None:
             if init_mode == "uniform":
                 return block_distances(np.zeros(n, dtype=np.int64), np.full((k, 1), 1.0 / n))
             return block_distances(np.arange(k), np.eye(k), st.rows.argmax(axis=1))
         dist = np.empty((n, k))
-        fresh = ~st.kept
-        if fresh.any():
-            h = st.h[fresh]
-            dist[:, fresh] = block_distances(st.c, h / (h @ np.bincount(st.c, minlength=k))[:, None])
+        formed = ~st.kept
+        if formed.any():
+            h = st.h[formed]
+            dist[:, formed] = block_distances(
+                st.c, h / (h @ np.bincount(st.c, minlength=k))[:, None], fresh=last)
         if st.kept.any():
             dist[:, st.kept] = matrix.dense(st.rows[st.kept])
         return dist
@@ -329,9 +405,12 @@ def _train_batch(
         return new, int(np.count_nonzero(skipped))
 
     run = _batch_loop(lattice, schedule, stop_on_stable_assignment, init, distances, update)
+    sums = matrix.sums
     return CoefficientSOMResult(
         run.state.form(), run.assignments, run.trace, run.energies, lattice, run.final_sigma,
         run.stopped, run.negative, run.events, run.phase_ns, distances=run.distances,
+        resync_drift_max=None if sums is None else sums.drift,
+        block_sum_passes=None if sums is None else dict(sums.passes),
     )
 
 
@@ -376,23 +455,34 @@ class _DenseState:
 
     The state G = A M holds one row per unit; row i of M is what a
     presentation of point i blends into it, and column i of G is the cross
-    term (M a_k)_i. A batch state builds G from per-unit sums of the rows.
+    term (M a_k)_i. A batch state builds G from per-unit sums of the rows,
+    which sums carries across the calls for all points.
     """
 
     def __init__(self, m_values: np.ndarray, kernel_form: bool):
         self.rows = m_values
         self.diag = np.diag(m_values)
         self.kernel_form = kernel_form
+        self.sums = BlockSums(m_values)
 
     def exact(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """G = A M and the quadratic terms q_k = a_k^T M a_k."""
         g = a @ self.rows
         return g, np.einsum("kn,kn->k", a, g)
 
-    def block(self, c: np.ndarray, weights: np.ndarray, points=slice(None)):
+    def block(self, c: np.ndarray, weights: np.ndarray, points=slice(None), fresh=False):
         """exact() for the rows a_k with a_k[points[j]] = weights[k, c[j]] and zero
-        elsewhere, from the per-group row sums of M: O(N^2 + N K L) for L groups."""
-        g = weights @ unit_row_sums(self.rows[points], c, weights.shape[1])
+        elsewhere, from the per-group row sums of M: O(N^2 + N K L) for L groups.
+
+        points is an index array or slice(None), all points, whose sums come
+        from self.sums: O(m N + N K L) when m points moved since the last
+        call. fresh=True makes that a fresh pass."""
+        n_groups = weights.shape[1]
+        if isinstance(points, slice):
+            s = self.sums(c, n_groups, fresh)
+        else:
+            s = unit_row_sums(self.rows[points], c, n_groups)
+        g = weights @ s
         return g, np.einsum("kn,kn->k", weights[:, c], g[:, points])
 
     def dense(self, a: np.ndarray) -> np.ndarray:

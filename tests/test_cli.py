@@ -135,6 +135,39 @@ def test_train_relational_report_counters(fixtures):
     assert np.max(np.abs(coeffs.sum(axis=1) - 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("algorithm, kind, drift", [
+    ("relational-batch", "dis", True), ("kernel-batch", "ker", True), ("median", "dis", False),
+])
+def test_report_counts_fresh_and_carried_block_sum_passes(fixtures, algorithm, kind, drift):
+    out = fixtures["tmp"] / f"run-passes-{algorithm}"
+    assert main(["train", "--algorithm", algorithm, "--input", str(fixtures[kind]),
+                 "--input-kind", "kernel" if kind == "ker" else "dissimilarity",
+                 "--out", str(out), "--rows", "3", "--cols", "3", "--seed", "2"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    passes = report["block_sum_passes"]
+    assert set(passes) == {"fresh", "delta"}
+    assert isinstance(passes["delta"], int) and passes["fresh"] >= 1  # the first pass is fresh
+    assert passes["fresh"] + passes["delta"] <= report["iterations_executed"]
+    if drift:
+        assert 0.0 <= report["resync_drift_max"] < 1e-12
+    else:
+        assert "resync_drift_max" not in report
+
+
+@pytest.mark.parametrize("algorithm, flags", [
+    ("relational-batch", ("--nystrom-landmarks", "5")), ("relational-online", ()),
+    ("stmp", ()), ("classic-batch", ()),
+])
+def test_report_counts_block_sum_passes_only_where_they_are_carried(fixtures, algorithm, flags):
+    out = fixtures["tmp"] / f"run-nopasses-{algorithm}"
+    source = "vec" if algorithm.startswith("classic") else "dis"
+    assert main(["train", "--config", str(fixtures["cfg"]), "--algorithm", algorithm,
+                 "--input", str(fixtures[source]),
+                 "--input-kind", "vectors" if source == "vec" else "dissimilarity",
+                 "--out", str(out), *flags]) == 0
+    assert "block_sum_passes" not in json.loads((out / "report.json").read_text())
+
+
 @pytest.mark.parametrize("algorithm, kind, landmarks, reused", [
     ("relational-batch", "dissimilarity", None, True),
     ("relational-online", "vectors", None, True),
@@ -421,6 +454,22 @@ def test_umatrix_subcommand_round_trip(fixtures):
     redo = (prefix.parent / (prefix.name + ".csv")).read_text()
     original = (out / "umatrix.csv").read_text()
     assert redo == original
+
+
+@pytest.mark.parametrize("rows, cols, seed", [(2, 3, 0), (3, 3, 1)])
+def test_umatrix_subcommand_reproduces_the_stmp_grid(fixtures, rows, cols, seed):
+    """STMP's coefficients are the transpose of its mixing matrix; the grid is
+    computed from them in the layout the umatrix subcommand loads them in."""
+    out = fixtures["tmp"] / "run-stmp-u"
+    assert main(["train", "--algorithm", "stmp", "--input", str(fixtures["dis"]),
+                 "--input-kind", "dissimilarity", "--out", str(out), "--rows", str(rows),
+                 "--cols", str(cols), "--seed", str(seed)]) == 0
+    prefix = fixtures["tmp"] / "redo"
+    assert main(["umatrix", "--input", str(fixtures["dis"]), "--input-kind", "dissimilarity",
+                 "--prototypes", str(out / "coefficients.csv"),
+                 "--prototype-kind", "coefficients", "--rows", str(rows), "--cols", str(cols),
+                 "--out", str(prefix)]) == 0
+    assert (fixtures["tmp"] / "redo.csv").read_bytes() == (out / "umatrix.csv").read_bytes()
 
 
 @pytest.mark.parametrize("kind, text, message", [

@@ -39,6 +39,16 @@ def test_neighborhood_symmetric_and_bounded():
     assert np.all((h > 0.0) & (h <= 1.0))
 
 
+@pytest.mark.parametrize("topology", ["rectangular", "hexagonal"])
+@pytest.mark.parametrize("sigma", [0.3, 0.2])
+def test_neighborhood_has_no_subnormal_weight(topology, sigma):
+    # on 10 x 10 at sigma 0.3, exp() gives 40 weights between 0 and the
+    # smallest normal double, down to 2.2e-314
+    h = Lattice(10, 10, topology).neighborhood(sigma)
+    assert np.all((h == 0.0) | (h >= np.finfo(float).tiny))
+    assert np.count_nonzero(h == 0.0) > 0
+
+
 def test_default_sigma_start_half_diameter():
     assert default_sigma_start(Lattice(3, 3, "rectangular")) == pytest.approx(np.sqrt(8.0) / 2)
     assert default_sigma_start(Lattice(1, 1, "rectangular")) == 1.0

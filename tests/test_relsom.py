@@ -9,7 +9,9 @@ from dksom.dismat import (
     squared_euclidean,
 )
 from dksom.lattice import Lattice, Schedule
+from dksom.mediansom import train_batch_median
 from dksom.relsom import (
+    BlockSums,
     _coefficient_update,
     _DenseState,
     _init_coefficients,
@@ -357,3 +359,180 @@ def test_unit_row_sums_equals_one_hot_product(n_units, monkeypatch):
         assert not s[-1].any()
     monkeypatch.undo()
     assert np.array_equal(unit_row_sums(m, c, n_units), s)  # sums in index order either way
+
+
+def _moves(rng, c, n_groups, share):
+    """c with a random share of its points sent to random groups."""
+    c = c.copy()
+    moved = rng.choice(c.size, size=int(round(share * c.size)), replace=False)
+    c[moved] = rng.integers(0, n_groups, moved.size)
+    return c
+
+
+def _assert_follows_fresh(m, steps):
+    """Feed (c, n_groups) steps to one BlockSums; each result is the fresh
+    unit_row_sums within 1e-12 relative. Returns the BlockSums."""
+    sums = BlockSums(m)
+    for c, n_groups in steps:
+        got = sums(c, n_groups)
+        want = unit_row_sums(m, c, n_groups)
+        scale = max(float(np.max(np.abs(want), initial=0.0)), np.finfo(float).tiny)
+        assert got.shape == want.shape
+        assert float(np.max(np.abs(got - want), initial=0.0)) <= 1e-12 * scale
+    return sums
+
+
+def _sequence(rng, n, n_groups, shares):
+    c = rng.integers(0, n_groups, n)
+    steps = [(c, n_groups)]
+    for share in shares:
+        c = _moves(rng, c, n_groups, share)
+        steps.append((c, n_groups))
+    return steps
+
+
+_SHARES = [0.02, 0.1, 0.24, 0.6, 0.05, 1.0, 0.01, 0.0, 0.2]
+
+
+@pytest.mark.parametrize("kind", ["squared-euclidean", "l1", "indefinite"])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_block_sums_follow_fresh_sums_through_small_and_large_moves(kind, scale):
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(80, 3))
+    if kind == "squared-euclidean":
+        m = squared_euclidean(VectorDataset.from_array(x)).values
+    elif kind == "l1":
+        m = np.abs(x[:, None, :] - x[None, :, :]).sum(axis=2)
+    else:  # symmetric with both signs: no embedding at all
+        m = rng.normal(size=(80, 80))
+        m = m + m.T
+    sums = _assert_follows_fresh(scale * m, _sequence(rng, 80, 9, _SHARES))
+    assert sums.passes["delta"] >= 6 and sums.passes["fresh"] >= 3
+
+
+def test_block_sums_zero_emptied_groups_and_refill_them():
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(40, 40)) * 1e3
+    c = np.zeros(40, dtype=np.int64)
+    c[:8] = 1  # group 1: eight points, group 2: none
+    steps = [(c, 3)]
+    for i in range(8):  # empty group 1 one point at a time, then refill it and group 2
+        c = c.copy()
+        c[i] = 0
+        steps.append((c, 3))
+    for i in range(8):
+        c = c.copy()
+        c[i] = 1 + i % 2
+        steps.append((c, 3))
+    sums = BlockSums(m)
+    for c, n_groups in steps:
+        got = sums(c, n_groups)
+        for group in range(n_groups):
+            if not np.any(c == group):
+                assert not got[group].any()  # an exact zero row, not rounding residue
+        np.testing.assert_allclose(got, unit_row_sums(m, c, n_groups), rtol=0, atol=1e-12 * 4e4)
+    assert sums.passes == {"fresh": 1, "delta": 16}
+
+
+def test_block_sums_pass_fresh_when_the_number_of_groups_changes():
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(30, 30))
+    one = np.zeros(30, dtype=np.int64)  # the uniform init's single group
+    c = rng.integers(0, 6, 30)
+    sums = _assert_follows_fresh(m, [(one, 1), (c, 6), (c, 6), (_moves(rng, c, 6, 0.1), 6)])
+    assert sums.passes == {"fresh": 2, "delta": 2}
+
+
+@pytest.mark.parametrize("n, n_groups", [(1, 1), (1, 4), (5, 12)], ids=["N1", "N1-K4", "K-over-N"])
+def test_block_sums_on_tiny_inputs(n, n_groups):
+    rng = np.random.default_rng(n + n_groups)
+    m = rng.normal(size=(n, n))
+    m = m + m.T
+    _assert_follows_fresh(m, _sequence(rng, n, n_groups, _SHARES))
+
+
+def test_block_sums_keep_duplicate_columns_bitwise_equal():
+    """Duplicate points have identical columns of D; carried or fresh, their
+    sums take the same operations, so their distances tie exactly."""
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(30, 2))
+    x = np.vstack([x, x[:10]])  # points 30..39 repeat points 0..9
+    m = squared_euclidean(VectorDataset.from_array(x)).values
+    sums = BlockSums(m)
+    for c, n_groups in _sequence(rng, 40, 5, [0.05, 0.1, 0.2, 0.15, 0.05]):
+        got = sums(c, n_groups)
+        assert np.array_equal(got[:, :10], got[:, 30:])
+    assert sums.passes["delta"] == 5
+
+
+def test_block_sums_measure_drift_at_a_forced_fresh_pass():
+    rng = np.random.default_rng(13)
+    m = rng.normal(size=(50, 50))
+    sums = BlockSums(m)
+    steps = _sequence(rng, 50, 4, [0.1, 0.1, 0.1])
+    for c, n_groups in steps:
+        sums(c, n_groups)
+    assert sums.drift is None
+    final = _moves(rng, steps[-1][0], 4, 0.1)
+    got = sums(final, 4, fresh=True)
+    assert np.array_equal(got, unit_row_sums(m, final, 4))
+    assert 0.0 < sums.drift < 1e-14
+    assert sums.passes == {"fresh": 2, "delta": 3}
+
+
+def _blobs(n, seed):
+    rng = np.random.default_rng(seed)
+    centers = 6.0 * rng.normal(size=(4, 2))
+    return centers[rng.integers(0, 4, n)] + rng.normal(size=(n, 2))
+
+
+def _carry_case(family, init_mode):
+    x = _blobs(240, 21)
+    lattice, schedule = Lattice(4, 4), Schedule(30, seed=4)
+    if family == "median":
+        dm = squared_euclidean(VectorDataset.from_array(x))
+        return lambda: train_batch_median(dm, lattice, schedule)
+    if family == "kernel":
+        sq = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        k = KernelMatrix.from_array(np.exp(-sq / 18.0))
+        return lambda: train_batch_kernel(k, lattice, schedule, init_mode=init_mode)
+    dm = squared_euclidean(VectorDataset.from_array(x))
+    return lambda: train_batch_relational(dm, lattice, schedule, init_mode=init_mode)
+
+
+_CARRY_CASES = [("relational", "indicator"), ("relational", "uniform"),
+                ("kernel", "indicator"), ("kernel", "uniform"), ("median", None)]
+
+
+@pytest.mark.parametrize("family, init_mode", _CARRY_CASES,
+                         ids=[f"{f}-{i}" if i else f for f, i in _CARRY_CASES])
+def test_carried_block_sums_train_as_fresh_passes_do(family, init_mode, monkeypatch):
+    """Forcing a fresh pass at every call (no share of moved points is small
+    enough) changes nothing but the rounding of the carried sums."""
+    train = _carry_case(family, init_mode)
+    carried = train()
+    monkeypatch.setattr("dksom.relsom.CARRY_MOVED_SHARE", 0.0)
+    fresh = train()
+    assert carried.block_sum_passes["delta"] > 0 and fresh.block_sum_passes["delta"] == 0
+    assert np.array_equal(carried.assignment_trace, fresh.assignment_trace)
+    assert np.array_equal(carried.assignments, fresh.assignments)
+    np.testing.assert_allclose(carried.energy_trace, fresh.energy_trace, rtol=1e-12)
+    if family == "median":
+        assert np.array_equal(carried.prototype_indices, fresh.prototype_indices)
+        return
+    assert np.array_equal(carried.distances, fresh.distances)  # both from a fresh pass
+    assert np.array_equal(carried.coefficients, fresh.coefficients)
+    assert 0.0 <= carried.resync_drift_max < 1e-12
+    assert fresh.resync_drift_max == 0.0
+
+
+@pytest.mark.parametrize("family", ["relational", "kernel", "median"])
+def test_late_iterations_update_the_block_sums_by_their_moved_rows(family):
+    res = _carry_case(family, "indicator")()
+    iterations = len(res.energy_trace)
+    passes = res.block_sum_passes
+    assert passes["fresh"] < iterations
+    # the median SOM sums at each update, the coefficient trainers at each
+    # evaluation but the first, which reads the seeds, and at the final one
+    calls = iterations - res.stopped_early if family == "median" else iterations
+    assert passes["fresh"] + passes["delta"] == calls
