@@ -22,7 +22,7 @@ from .dismat import (
     squared_euclidean,
     validate,
 )
-from .lattice import DecaySchedule, Lattice, Schedule, default_sigma_start, grid_coordinates
+from .lattice import Lattice, Schedule, default_sigma_start, grid_coordinates
 from .mediansom import MedianSOMResult, median_update, resolve_collisions, train_batch_median
 from .nystrom import (
     NystromFactor,
@@ -41,11 +41,9 @@ from .quality import (
     quantization_cost,
     umatrix,
     verify_koenig_huygens,
-    verify_triangle_bound,
 )
 from .relsom import (
     CoefficientSOMResult,
-    bmu_relational,
     kernel_distance,
     kernel_distances,
     relational_distance,
@@ -54,7 +52,6 @@ from .relsom import (
     train_batch_relational,
     train_online_kernel,
     train_online_relational,
-    verify_equivalence,
 )
 from .stmp import (
     AnnealingSchedule,
@@ -75,7 +72,6 @@ __all__ = [
     "AnnealingSchedule",
     "CoefficientSOMResult",
     "CriterionReport",
-    "DecaySchedule",
     "DissimilarityMatrix",
     "KernelMatrix",
     "Lattice",
@@ -89,7 +85,6 @@ __all__ = [
     "ValidationReport",
     "VectorDataset",
     "VectorSOMResult",
-    "bmu_relational",
     "clustering_cost",
     "criterion_report",
     "critical_beta",
@@ -131,7 +126,5 @@ __all__ = [
     "train_stmp",
     "umatrix",
     "validate",
-    "verify_equivalence",
     "verify_koenig_huygens",
-    "verify_triangle_bound",
 ]

@@ -72,6 +72,7 @@ _ONLINE_SIGNAL_S = 0.1  # target CPU cost of the long burst's extra M-1 presenta
 _ONLINE_PAIRS = 40
 _MIN_PRESENTATIONS = 2  # smallest legal long burst (short burst is always 1)
 _PILOT_PRESENTATIONS = 8
+_SIGMA = 1.5  # neighborhood radius of every timed phase
 
 
 def blob_dataset(n: int, seed: int = 0, n_blobs: int = 5) -> VectorDataset:
@@ -140,7 +141,7 @@ def _cheap_fns(fx: dict, h: np.ndarray) -> dict:
     }
 
 
-def _slice_fn(fx: dict, lattice: Lattice, sigma: float, seed: int, m: int):
+def _slice_fn(fx: dict, lattice: Lattice, seed: int, m: int):
     """One epoch of m presentations of the naive reference trainer.
 
     The trainers ship the incremental O(K N) engine; the paper's cost claim
@@ -148,7 +149,7 @@ def _slice_fn(fx: dict, lattice: Lattice, sigma: float, seed: int, m: int):
     recomputes A D at every presentation, so that is the code timed here.
     """
     d = fx["d"]
-    schedule = Schedule(1, sigma, sigma, "fixed", seed=seed)
+    schedule = Schedule(1, _SIGMA, _SIGMA, "fixed", seed=seed)
 
     def run():
         _train_online_reference(
@@ -164,7 +165,6 @@ def run_bench(
     k_units: int = DEFAULT_K,
     repeats: int = 7,
     seed: int = 0,
-    sigma: float = 1.5,
 ) -> dict:
     """Measure all phases over `sizes` and fit the slopes.
 
@@ -180,7 +180,7 @@ def run_bench(
     if len(sizes) < 2:
         raise ValueError("need at least two sizes to fit a slope")
     lattice = _square_lattice(k_units)
-    h = lattice.neighborhood(sigma)
+    h = lattice.neighborhood(_SIGMA)
 
     fixtures: dict[int, dict] = {}
     truncated = False
@@ -204,7 +204,7 @@ def run_bench(
             cheap[n][p]()
             t = min(_cpu_seconds(cheap[n][p]), _cpu_seconds(cheap[n][p]))
             budget[p, n] = min(_BUDGET_MAX_S, max(_TARGET_SAMPLE_S, _BUDGET_CALLS * t))
-        _slice_fn(fixtures[n], lattice, sigma, seed, _PILOT_PRESENTATIONS)()
+        _slice_fn(fixtures[n], lattice, seed, _PILOT_PRESENTATIONS)()
 
     n_rounds = max(_MIN_ROUNDS, repeats)
     n_passes = max(n_rounds, _ONLINE_PAIRS + 1)
@@ -226,8 +226,8 @@ def run_bench(
                     best_round[p][rnd, j] = _best_call_seconds(cheap[n][p], budget[p, n])
             if rnd == 0:
                 continue
-            short = _slice_fn(fixtures[n], lattice, sigma, seed, 1)
-            long = _slice_fn(fixtures[n], lattice, sigma, seed, slice_m[n])
+            short = _slice_fn(fixtures[n], lattice, seed, 1)
+            long = _slice_fn(fixtures[n], lattice, seed, slice_m[n])
             # alternate the pair order across passes so linear drift cancels
             if rnd % 2 == 0:
                 short_round[rnd, j] = _cpu_seconds(short)

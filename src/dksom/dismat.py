@@ -17,7 +17,6 @@ import numpy as np
 
 ASYMMETRY_TOL = 1e-9
 ZERO_DIAG_TOL = 1e-12
-PSD_REL_TOL = 1e-8
 NEGATIVE_CONVERSION_TOL = 1e-9
 
 # triple-sampling budget for the triangle-inequality report
@@ -105,7 +104,7 @@ def _own(arr: np.ndarray, what: str, nonnegative: bool) -> tuple[np.ndarray, flo
         lows.append(low)
     if nonnegative and min(lows) < 0.0:
         i, j = np.unravel_index(int(np.argmin(arr)), arr.shape)
-        raise MatrixValidationError(f"negative dissimilarity entry {arr[i, j]!r} at ({i}, {j})")
+        raise MatrixValidationError(f"negative dissimilarity entry {float(arr[i, j])!r} at ({i}, {j})")
 
     uneven = _uneven_pairs(arr)
     asym = max((float(np.max(np.abs(arr[rows, cols] - arr[cols, rows].T)))
@@ -153,7 +152,8 @@ class DissimilarityMatrix:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Symmetric N x N similarity matrix; PSD is checked on demand, not at load."""
+    """Symmetric N x N similarity matrix. PSD is not checked at load: validate
+    reports the smallest eigenvalue as psd_margin."""
 
     values: np.ndarray
     max_asymmetry: float = 0.0
@@ -172,19 +172,6 @@ class KernelMatrix:
         """Validate, symmetrize and freeze arr in place; nothing else may hold arr."""
         sym, asym = _own(arr, "kernel matrix", nonnegative=False)
         return cls(values=sym, max_asymmetry=asym)
-
-    def psd_margin(self) -> float:
-        """Smallest eigenvalue (full symmetric eigendecomposition)."""
-        return float(np.linalg.eigvalsh(self.values)[0])
-
-    def check_psd(self) -> None:
-        eigs = np.linalg.eigvalsh(self.values)
-        scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-        if eigs[0] < -PSD_REL_TOL * scale:
-            raise MatrixValidationError(
-                f"kernel matrix is not positive semidefinite: "
-                f"smallest eigenvalue {eigs[0]:.3e} (largest magnitude {scale:.3e})"
-            )
 
 
 @dataclass(frozen=True)

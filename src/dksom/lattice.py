@@ -80,40 +80,20 @@ def default_sigma_start(lattice: Lattice) -> float:
 DEFAULT_SIGMA_END = 0.3
 
 
-@dataclass(frozen=True)
-class DecaySchedule:
-    """Per-step radius or learning-rate values.
-
-    exponential_decay interpolates geometrically from start to final;
-    fixed repeats start. Used for sigma(t) and epsilon(t) alike.
-    """
-
-    start: float
-    final: float
-    t_max: int
-    mode: str = "exponential_decay"
-
-    def __post_init__(self):
-        if self.t_max < 1:
-            raise ValueError(f"schedule needs at least one step, got t_max={self.t_max}")
-        if self.start <= 0.0 or self.final <= 0.0:
-            raise ValueError(f"schedule endpoints must be positive, got {self.start} -> {self.final}")
-        if self.final > self.start:
-            raise ValueError(f"schedule must be non-increasing, got {self.start} -> {self.final}")
-        if not (np.isfinite(self.start) and np.isfinite(self.final)):
-            raise ValueError(f"schedule endpoints must be finite, got {self.start} -> {self.final}")
-        if self.mode not in ("exponential_decay", "fixed"):
-            raise ValueError(f"unknown schedule mode {self.mode!r}")
-
-    def value_at(self, t: int) -> float:
-        if not 0 <= t < self.t_max:
-            raise ValueError(f"step {t} outside schedule range [0, {self.t_max})")
-        if self.mode == "fixed" or self.t_max == 1:
-            return self.start
-        return float(self.start * (self.final / self.start) ** (t / (self.t_max - 1)))
-
-    def values(self) -> np.ndarray:
-        return np.array([self.value_at(t) for t in range(self.t_max)])
+def _decay(start: float, final: float, steps: int, mode: str = "exponential_decay") -> np.ndarray:
+    """Per-step radius or learning-rate values for Schedule: exponential_decay
+    interpolates geometrically from start to final; fixed repeats start."""
+    if start <= 0.0 or final <= 0.0:
+        raise ValueError(f"schedule endpoints must be positive, got {start} -> {final}")
+    if final > start:
+        raise ValueError(f"schedule must be non-increasing, got {start} -> {final}")
+    if not (np.isfinite(start) and np.isfinite(final)):
+        raise ValueError(f"schedule endpoints must be finite, got {start} -> {final}")
+    if mode not in ("exponential_decay", "fixed"):
+        raise ValueError(f"unknown schedule mode {mode!r}")
+    if mode == "fixed" or steps == 1:
+        return np.array([start] * steps)
+    return np.array([float(start * (final / start) ** (t / (steps - 1))) for t in range(steps)])
 
 
 @dataclass(frozen=True)
@@ -141,13 +121,13 @@ class Schedule:
 
     def sigmas(self, lattice: Lattice) -> np.ndarray:
         start = default_sigma_start(lattice) if self.sigma_start is None else self.sigma_start
-        return DecaySchedule(start, self.sigma_end, self.steps, self.sigma_mode).values()
+        return _decay(start, self.sigma_end, self.steps, self.sigma_mode)
 
     def epsilons(self) -> np.ndarray:
         """Exponential decay whatever sigma_mode is. eps_start must not exceed 1,
-        so that an online update stays a convex blend; DecaySchedule's own
-        checks come first, so an input it rejects keeps its message."""
-        values = DecaySchedule(self.eps_start, self.eps_end, self.steps).values()
+        so that an online update stays a convex blend; the decay checks come
+        first, so an input they reject keeps its message."""
+        values = _decay(self.eps_start, self.eps_end, self.steps)
         if self.eps_start > 1.0:
             raise ValueError(f"learning rate must not exceed 1, got eps_start={self.eps_start}")
         return values

@@ -33,7 +33,8 @@ from .relsom import (
     unit_row_sums,
 )
 
-DEFAULT_RANK_TOL = 1e-10
+DEFAULT_RANK_TOL = 1e-10  # landmark-block eigenvalues below this share of the largest are cut
+RECONSTRUCTION_SAMPLES = 1000  # (i, j) pairs sample_reconstruction_error draws
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,6 @@ class NystromFactor:
     landmarks: np.ndarray  # m distinct data indices
     c_block: np.ndarray  # N x m sampled columns
     w_pinv: np.ndarray  # m x m pseudo-inverse of the landmark block
-    rank_tol: float
     rank: int  # eigenvalues kept
     p_block: np.ndarray  # N x m cache C @ W+
     g: np.ndarray  # N diagonal of the approximated similarity
@@ -65,29 +65,27 @@ def _landmarks(n: int, m: int, seed: int) -> np.ndarray:
     return np.sort(rng.choice(n, size=m, replace=False))
 
 
-def _factor(c: np.ndarray, landmarks: np.ndarray, rank_tol: float, kind: str) -> NystromFactor:
+def _factor(c: np.ndarray, landmarks: np.ndarray, kind: str) -> NystromFactor:
     """Factor from the sampled columns c (N x m) of the landmark indices."""
     w = c[landmarks]
     lam, vec = np.linalg.eigh(w)
     lam_max = float(lam[-1])
-    keep = lam > rank_tol * lam_max if lam_max > 0.0 else np.zeros_like(lam, dtype=bool)
+    keep = lam > DEFAULT_RANK_TOL * lam_max if lam_max > 0.0 else np.zeros_like(lam, dtype=bool)
     vk = vec[:, keep]
     w_pinv = (vk / lam[keep]) @ vk.T
     p = c @ w_pinv
     g = np.einsum("im,im->i", p, c)
-    return NystromFactor(
-        kind, landmarks, c, w_pinv, rank_tol, int(np.count_nonzero(keep)), p, g
-    )
+    return NystromFactor(kind, landmarks, c, w_pinv, int(np.count_nonzero(keep)), p, g)
 
 
-def _fit(values: np.ndarray, m: int, seed: int, rank_tol: float, kind: str) -> NystromFactor:
+def _fit(values: np.ndarray, m: int, seed: int, kind: str) -> NystromFactor:
     landmarks = _landmarks(values.shape[0], m, seed)
-    return _factor(values[:, landmarks], landmarks, rank_tol, kind)
+    return _factor(values[:, landmarks], landmarks, kind)
 
 
-def nystrom_fit(kernel, m: int, seed: int = 0, rank_tol: float = DEFAULT_RANK_TOL) -> NystromFactor:
+def nystrom_fit(kernel, m: int, seed: int = 0) -> NystromFactor:
     """Factor a kernel matrix from m uniformly sampled landmark columns."""
-    return _fit(kernel.values, m, seed, rank_tol, "kernel")
+    return _fit(kernel.values, m, seed, "kernel")
 
 
 def double_center(d_values: np.ndarray) -> np.ndarray:
@@ -121,20 +119,18 @@ def _centered_columns(d_values: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return c
 
 
-def nystrom_fit_dissimilarity(
-    dismatrix, m: int, seed: int = 0, rank_tol: float = DEFAULT_RANK_TOL
-) -> NystromFactor:
+def nystrom_fit_dissimilarity(dismatrix, m: int, seed: int = 0) -> NystromFactor:
     """Factor a dissimilarity matrix via its double-centered Gram form.
 
     The implied reconstruction is D~_ij = g_i + g_j - 2 S~_ij, which has an
     exactly zero diagonal; for non-Euclidean D the indefinite part is
-    truncated by rank_tol and reconstruction error is a diagnostic, not a
+    truncated by DEFAULT_RANK_TOL and reconstruction error is a diagnostic, not a
     bounded quantity. Only the m landmark columns of S are formed: O(N^2)
     reads for the row means, O(N m) memory.
     """
     d = dismatrix.values
     landmarks = _landmarks(d.shape[0], m, seed)
-    return _factor(_centered_columns(d, landmarks), landmarks, rank_tol, "dissimilarity")
+    return _factor(_centered_columns(d, landmarks), landmarks, "dissimilarity")
 
 
 def reconstruct_similarity(factor: NystromFactor) -> np.ndarray:
@@ -165,17 +161,15 @@ def approx_relational_distances(factor: NystromFactor, coefficients: np.ndarray)
     return factor.g[:, None] - 2.0 * (factor.p_block @ u) + quad[None, :]
 
 
-def sample_reconstruction_error(
-    factor: NystromFactor, original: np.ndarray, n_samples: int = 1000, seed: int = 0
-) -> dict:
-    """Mean/max absolute entrywise error on randomly sampled (i, j) pairs.
+def sample_reconstruction_error(factor: NystromFactor, original: np.ndarray, seed: int = 0) -> dict:
+    """Mean/max absolute entrywise error on RECONSTRUCTION_SAMPLES random (i, j) pairs.
 
     `original` is the matrix the factor was fit to approximate: the kernel
     for kind=kernel, the dissimilarity for kind=dissimilarity.
     """
     rng = np.random.default_rng(seed)
-    i = rng.integers(0, factor.n, size=n_samples)
-    j = rng.integers(0, factor.n, size=n_samples)
+    i = rng.integers(0, factor.n, size=RECONSTRUCTION_SAMPLES)
+    j = rng.integers(0, factor.n, size=RECONSTRUCTION_SAMPLES)
     cross = np.einsum("sm,sm->s", factor.p_block[i], factor.c_block[j])
     if factor.kind == "dissimilarity":
         approx = factor.g[i] + factor.g[j] - 2.0 * cross
@@ -183,7 +177,8 @@ def sample_reconstruction_error(
     else:
         approx = cross
     err = np.abs(original[i, j] - approx)
-    return {"samples": n_samples, "mean_abs_error": float(err.mean()), "max_abs_error": float(err.max())}
+    return {"samples": RECONSTRUCTION_SAMPLES, "mean_abs_error": float(err.mean()),
+            "max_abs_error": float(err.max())}
 
 
 class _LandmarkState:

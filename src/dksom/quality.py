@@ -2,8 +2,9 @@
 
 The two costs coincide on squared-Euclidean data (weighted Konig-Huygens
 identity) and the clustering cost is bounded by twice the quantization cost
-whenever D obeys the triangle inequality; both facts have checkers here
-because the dissimilarity algorithms lean on them.
+whenever D obeys the triangle inequality. The dissimilarity algorithms lean
+on both: verify_koenig_huygens checks the first, triangle_bound_sides gives
+the two sides of the second.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dismat import _count_metric_violations
 from .lattice import Lattice
 from .relsom import unit_row_sums
 from .vectorsom import map_energy
@@ -130,14 +130,6 @@ def triangle_bound_sides(d_values: np.ndarray, weights) -> tuple[float, float]:
     lhs = float(beta @ d_values @ beta / (2.0 * beta.sum()))
     rhs = float(np.min(beta @ d_values))
     return lhs, rhs
-
-
-def verify_triangle_bound(dismatrix, weights, tol: float = 1e-9) -> bool:
-    """Check the pairwise-cost <= medoid-cost bound; requires metric input."""
-    if _count_metric_violations(dismatrix.values) > 0:
-        raise ValueError("dissimilarity matrix fails the sampled metric check")
-    lhs, rhs = triangle_bound_sides(dismatrix.values, weights)
-    return lhs <= rhs + tol
 
 
 def prototype_distance_matrix(d_values: np.ndarray, protos) -> np.ndarray:

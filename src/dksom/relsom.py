@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dismat import kernel_to_dissimilarity
 from .lattice import Lattice, Schedule
 from .vectorsom import EMPTY_UNIT_WEIGHT, map_energy
 
@@ -109,35 +108,6 @@ def kernel_distance(k_values: np.ndarray, alpha: np.ndarray, i: int) -> float:
     """Scalar single-point form of the kernelized distance."""
     _check_coefficients(alpha)
     return float(k_values[i, i] - 2.0 * (k_values[i] @ alpha) + alpha @ k_values @ alpha)
-
-
-def bmu_relational(d_values: np.ndarray, coefficients: np.ndarray, i: int) -> int:
-    """Best unit for point i; quadratic terms computed once for all units."""
-    g = coefficients @ d_values  # (K, N); row k holds (D alpha_k)^T
-    quad = np.einsum("kn,kn->k", g, coefficients)
-    return int(np.argmin(g[:, i] - 0.5 * quad))
-
-
-def verify_equivalence(kernel, alpha: np.ndarray, i: int, tol: float = 1e-9) -> bool:
-    """Check the kernelized distance against the relational distance on the
-    induced dissimilarity, evaluating both sides independently."""
-    lhs = relational_distance(kernel_to_dissimilarity(kernel).values, alpha, i)
-    rhs = kernel_distance(kernel.values, alpha, i)
-    return abs(lhs - rhs) <= tol
-
-
-def prototype_pairwise_dissimilarity(
-    d_values: np.ndarray, alpha_a: np.ndarray, alpha_b: np.ndarray
-) -> float:
-    """Squared distance between two implied prototypes: -1/2 (a-b)^T D (a-b).
-
-    For indicator rows a, b on a zero-diagonal D this reduces to D_ab. May be
-    negative on indefinite D.
-    """
-    _check_coefficients(alpha_a)
-    _check_coefficients(alpha_b)
-    diff = alpha_a - alpha_b
-    return float(-0.5 * (diff @ d_values @ diff))
 
 
 UNIT_SUM_ROWS = 32  # rows unit_row_sums gathers at a time
@@ -501,7 +471,6 @@ def _train_online(
     lattice: Lattice,
     schedule: Schedule,
     init_mode: str = "indicator",
-    presentations_per_epoch: int | None = None,
 ) -> CoefficientSOMResult:
     """Incremental stochastic engine: O(K w) per presentation, w = state.rows width.
 
@@ -518,15 +487,10 @@ def _train_online(
     coefficients, which clears the rounding drift of the blends; the largest
     relative drift of G or q seen is returned as resync_drift_max. The
     coefficient arithmetic is that of _train_online_reference, so the
-    coefficients are bit-identical to its whenever the BMUs agree.
-
-    presentations_per_epoch decouples the stochastic budget from the dataset
-    size (default: N draws per epoch, one pass in expectation).
+    coefficients are bit-identical to its whenever the BMUs agree. Each epoch
+    draws N presentations, one pass in expectation.
     """
     n = state.rows.shape[0]
-    draws = n if presentations_per_epoch is None else int(presentations_per_epoch)
-    if draws < 1:
-        raise ValueError("presentations_per_epoch must be >= 1")
     sigmas = schedule.sigmas(lattice)
     epsilons = schedule.epsilons()
     rng = np.random.default_rng(schedule.seed)
@@ -542,7 +506,7 @@ def _train_online(
     for e in range(schedule.steps):
         h = lattice.neighborhood(sigmas[e])
         eps = epsilons[e]
-        order = rng.integers(0, n, size=draws)
+        order = rng.integers(0, n, size=n)
         for i in order:
             t0 = time.perf_counter_ns()
             x = state.cross(g, i)

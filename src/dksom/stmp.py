@@ -16,6 +16,7 @@ structure emerges; annealing past it breaks the symmetry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,9 @@ _INIT_NOISE = 1e-3  # amplitude of the seeded mean-field initialization
 _POWER_SEED = 0x5EED  # fixed: critical_beta must be deterministic
 
 
-class PowerIterationError(RuntimeError):
-    """Dominant-eigenvalue estimate failed to converge."""
+class PowerIterationError(RuntimeError, ValueError):
+    """Dominant-eigenvalue estimate failed to converge. It is a ValueError
+    too: the input matrix is what the estimate fails on."""
 
 
 @dataclass(frozen=True)
@@ -72,32 +74,32 @@ class STMPResult:
 def power_iteration(values: np.ndarray, tol: float = 1e-8, max_iters: int = 10_000) -> float:
     """Dominant eigenvalue magnitude of a symmetric matrix.
 
-    Iterates with the squared matrix so that +lambda/-lambda pairs (common
-    for zero-diagonal dissimilarities) do not stall the iteration; stops on
-    the residual test ||D^2 x - rho x|| <= tol * rho, which for symmetric
-    matrices certifies an eigenvalue of D^2 within tol * rho of rho.
+    Subspace iteration on two vectors with a Rayleigh-Ritz step on the 2 x 2
+    projection: a +lambda/-lambda pair (common for zero-diagonal
+    dissimilarities, nearly exact on two tight clusters) converges at the
+    rate |lambda_3 / lambda_1| instead of stalling. Powers of two scale the
+    block into each product, so that D X stays finite, and D X before any
+    norm; they are exact, so the result scales exactly with the matrix.
+    Stops on the residual test ||D u - theta u|| <= tol * |theta| for the
+    Ritz pair of largest |theta|, which for symmetric matrices certifies an
+    eigenvalue within tol * |theta| of theta.
     """
     n = values.shape[0]
-    rng = np.random.default_rng(_POWER_SEED)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    for restart in range(3):
-        for _ in range(max_iters):
-            y = values @ x
-            rho = float(y @ y)  # Rayleigh quotient of D^2 since ||x|| = 1
-            if rho == 0.0:
-                break  # x annihilated: retry from a fresh direction
-            z = values @ y
-            if np.linalg.norm(z - rho * x) <= tol * rho:
-                return float(np.sqrt(rho))
-            x = z / np.linalg.norm(z)
-        else:
-            raise PowerIterationError(
-                f"no convergence after {max_iters} iterations (tol={tol:g})"
-            )
-        x = rng.standard_normal(n)
-        x /= np.linalg.norm(x)
-    return 0.0  # three independent directions annihilated: treat as zero matrix
+    shrink = -n.bit_length()
+    x = np.linalg.qr(np.random.default_rng(_POWER_SEED).standard_normal((n, 2)))[0]
+    for _ in range(max_iters):
+        y = values @ np.ldexp(x, shrink)
+        top = float(np.max(np.abs(y)))
+        if top == 0.0:
+            return 0.0  # D annihilates a random block: the zero matrix
+        exp = math.frexp(top)[1]
+        y = np.ldexp(y, -exp)
+        theta, v = np.linalg.eigh(x.T @ y)
+        k = int(np.argmax(np.abs(theta)))
+        if np.linalg.norm(y @ v[:, k] - theta[k] * (x @ v[:, k])) <= tol * abs(theta[k]):
+            return float(np.ldexp(abs(theta[k]), exp - shrink))
+        x = np.linalg.qr(y)[0]
+    raise PowerIterationError(f"no convergence after {max_iters} iterations (tol={tol:g})")
 
 
 def critical_beta(dismatrix) -> float:

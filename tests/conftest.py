@@ -1,4 +1,11 @@
-import pytest
+import os
+
+# One BLAS thread, set before NumPy loads, as perfbench/run.py does for its
+# jobs: the timing criteria then read the same per-thread cost on any host,
+# and a second thread cannot flatten the large sizes of criterion 9's fits.
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+
+import pytest  # noqa: E402
 
 _criterion_lines: list[str] = []
 

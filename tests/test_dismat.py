@@ -55,6 +55,12 @@ def test_dissimilarity_rejects_negative_entries():
         DissimilarityMatrix.from_array([[0.0, -1.0], [-1.0, 0.0]])
 
 
+def test_negative_entry_message_prints_a_plain_float():
+    with pytest.raises(MatrixValidationError) as err:
+        DissimilarityMatrix.from_array([[0, -2.5], [-2.5, 0]])
+    assert str(err.value) == "negative dissimilarity entry -2.5 at (0, 1)"
+
+
 def test_nonsquare_matrix_rejected():
     with pytest.raises(MatrixFormatError):
         DissimilarityMatrix.from_array(np.zeros((2, 3)))
@@ -240,10 +246,5 @@ def test_validate_kernel_reports_psd_margin():
     k = KernelMatrix.from_array([[2.0, 1.0], [1.0, 2.0]])
     rep = validate(k)
     assert rep.psd_margin == pytest.approx(1.0)
-    k.check_psd()  # must not raise
-
-
-def test_indefinite_kernel_fails_psd_check():
-    k = KernelMatrix.from_array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(MatrixValidationError, match="positive semidefinite"):
-        k.check_psd()
+    indefinite = validate(KernelMatrix.from_array([[0.0, 1.0], [1.0, 0.0]]))
+    assert indefinite.psd_margin == pytest.approx(-1.0)

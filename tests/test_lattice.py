@@ -3,7 +3,6 @@ import pytest
 
 from dksom.lattice import (
     DEFAULT_SIGMA_END,
-    DecaySchedule,
     Lattice,
     Schedule,
     default_sigma_start,
@@ -56,30 +55,29 @@ def test_default_sigma_start_half_diameter():
 
 
 def test_geometric_schedule_values():
-    sched = DecaySchedule(2.0, 0.5, 3, "exponential_decay")
-    assert sched.value_at(0) == pytest.approx(2.0)
-    assert sched.value_at(1) == pytest.approx(1.0)
-    assert sched.value_at(2) == pytest.approx(0.5)
+    lat = Lattice(2, 2, "rectangular")
+    assert Schedule(3, 2.0, 0.5, "exponential_decay").sigmas(lat) == pytest.approx([2.0, 1.0, 0.5])
+    assert Schedule(3, eps_start=0.8, eps_end=0.2).epsilons() == pytest.approx([0.8, 0.4, 0.2])
 
 
 def test_fixed_schedule_is_constant():
-    sched = DecaySchedule(1.5, 1.5, 10, "fixed")
-    assert all(v == 1.5 for v in sched.values())
+    sched = Schedule(10, 1.5, 1.5, "fixed")
+    assert all(v == 1.5 for v in sched.sigmas(Lattice(2, 2, "rectangular")))
 
 
 def test_schedule_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        DecaySchedule(0.5, 2.0, 3, "exponential_decay")  # increasing
-    with pytest.raises(ValueError):
-        DecaySchedule(1.0, 0.5, 0, "exponential_decay")  # no steps
-    with pytest.raises(ValueError):
-        DecaySchedule(1.0, 0.5, 3, "linear")  # unknown mode
+    lat = Lattice(2, 2, "rectangular")
+    with pytest.raises(ValueError, match="non-increasing"):
+        Schedule(3, 0.5, 2.0, "exponential_decay").sigmas(lat)  # increasing
+    with pytest.raises(ValueError, match="at least one step"):
+        Schedule(0, 1.0, 0.5, "exponential_decay")  # no steps
+    with pytest.raises(ValueError, match="unknown schedule mode"):
+        Schedule(3, 1.0, 0.5, "linear").sigmas(lat)
     for start, final in ((np.nan, 0.5), (1.0, np.nan), (np.inf, 0.5), (np.inf, np.inf)):
         with pytest.raises(ValueError, match="finite"):
-            DecaySchedule(start, final, 3, "exponential_decay")
-    sched = DecaySchedule(1.0, 0.5, 3, "exponential_decay")
-    with pytest.raises(ValueError):
-        sched.value_at(3)
+            Schedule(3, start, final, "exponential_decay").sigmas(lat)
+        with pytest.raises(ValueError, match="finite"):  # before the eps_start <= 1 check
+            Schedule(3, eps_start=start, eps_end=final).epsilons()
 
 
 def test_neighborhood_rejects_non_finite_sigma():

@@ -11,7 +11,6 @@ from dksom.dismat import (
 )
 from dksom.lattice import Lattice, Schedule
 from dksom.nystrom import (
-    DEFAULT_RANK_TOL,
     _fit,
     approx_relational_distances,
     double_center,
@@ -60,7 +59,7 @@ def test_double_center_matches_gram_identity():
 
 @pytest.mark.parametrize("n", [1, 5, 2 * BLOCK_ROWS + 7])
 def test_double_center_bit_equal_to_dense_formula(n):
-    # rank_tol amplifies rounding, so the blocked S must round as the dense one
+    # the DEFAULT_RANK_TOL cut amplifies rounding, so the blocked S must round as the dense one
     rng = np.random.default_rng(n)
     d = rng.random((n, n)) * 1e3
     d = d + d.T
@@ -78,7 +77,7 @@ def test_dissimilarity_fit_bit_equal_to_fit_on_full_double_center(n):
     dm = DissimilarityMatrix.from_array(d)
     for m in sorted({1, max(n // 2, 1), n}):
         fit = nystrom_fit_dissimilarity(dm, m, seed=m)
-        reference = _fit(double_center(dm.values), m, m, DEFAULT_RANK_TOL, "dissimilarity")
+        reference = _fit(double_center(dm.values), m, m, "dissimilarity")
         for name, value in vars(reference).items():
             got = getattr(fit, name)
             if isinstance(value, np.ndarray):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dksom.dismat import DissimilarityMatrix, VectorDataset, squared_euclidean
+from dksom.dismat import VectorDataset, squared_euclidean
 from dksom.lattice import Lattice
 from dksom.quality import (
     clustering_cost,
@@ -14,7 +14,6 @@ from dksom.quality import (
     umatrix,
     vector_clustering_cost,
     verify_koenig_huygens,
-    verify_triangle_bound,
 )
 
 D3 = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 4.0], [9.0, 4.0, 0.0]])
@@ -125,15 +124,12 @@ def test_triangle_bound_sides_path_graph():
     lhs, rhs = triangle_bound_sides(PATH3, np.ones(3))
     assert lhs == pytest.approx(4.0 / 3.0, abs=1e-12)
     assert rhs == pytest.approx(2.0)
-    assert verify_triangle_bound(DissimilarityMatrix.from_array(PATH3), np.ones(3))
 
 
 def test_triangle_bound_flips_on_non_metric_input():
     w = np.array([[0.0, 10.0, 1.0], [10.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     lhs, rhs = triangle_bound_sides(w, np.ones(3))
     assert lhs > rhs  # pairwise cost 4 exceeds best single-point cost 2
-    with pytest.raises(ValueError, match="metric"):
-        verify_triangle_bound(DissimilarityMatrix.from_array(w), np.ones(3))
 
 
 def test_prototype_distance_matrix_indicator_rows_recover_d():

@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from dksom.dismat import DissimilarityMatrix
+from dksom.cli import main
+from dksom.dismat import DissimilarityMatrix, VectorDataset, save_matrix, squared_euclidean
 from dksom.lattice import Lattice
 from dksom.stmp import (
     AnnealingSchedule,
@@ -98,6 +99,52 @@ def test_critical_beta_frozen_values():
     assert critical_beta(DissimilarityMatrix.from_array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         critical_beta(DissimilarityMatrix.from_array(np.zeros((3, 3))))
+
+
+def _two_clusters(n: int, sd: float, seed: int = 0) -> DissimilarityMatrix:
+    """Squared distances of two clusters of spread sd, centres 10 apart: D has
+    two eigenvalues close to +lambda and -lambda."""
+    x = np.random.default_rng(seed).normal(0.0, sd, size=(n, 2))
+    x[n // 2:, 0] += 10.0
+    return squared_euclidean(VectorDataset.from_array(x))
+
+
+@pytest.mark.parametrize("sd", [0.01, 0.001])
+@pytest.mark.parametrize("n", [20, 60, 200])
+def test_critical_beta_on_two_tight_clusters(n, sd):
+    d = _two_clusters(n, sd)
+    lam = float(np.max(np.abs(np.linalg.eigvalsh(d.values))))
+    assert critical_beta(d) == pytest.approx(1.0 / lam, rel=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-100, 2.0**600, 2.0**-600])
+def test_critical_beta_scales_inversely_with_the_matrix(scale):
+    d = _two_clusters(20, 0.5)
+    scaled = DissimilarityMatrix.from_array(d.values * scale)
+    assert critical_beta(scaled) == pytest.approx(critical_beta(d) / scale, rel=1e-12)
+
+
+@pytest.mark.parametrize("sd, scale", [(0.01, 1.0), (0.5, 1e140)])
+def test_cli_trains_stmp_on_two_clusters_and_on_scaled_d(tmp_path, sd, scale):
+    path = tmp_path / "d.csv"
+    save_matrix(_two_clusters(20, sd).values * scale, path)
+    assert main(["train", "--algorithm", "stmp", "--input", str(path),
+                 "--input-kind", "dissimilarity", "--out", str(tmp_path / "out"),
+                 "--rows", "1", "--cols", "2", "--sigma0", "0.5"]) == 0
+
+
+def test_power_iteration_error_exits_1(tmp_path, monkeypatch, capsys):
+    # a failed estimate is about the input, so the CLI treats it as bad input
+    def fail(values):
+        raise PowerIterationError("no convergence")
+
+    monkeypatch.setattr("dksom.stmp.power_iteration", fail)
+    path = tmp_path / "d.csv"
+    save_matrix(D3, path)
+    assert main(["train", "--algorithm", "stmp", "--input", str(path),
+                 "--input-kind", "dissimilarity", "--out", str(tmp_path / "out"),
+                 "--rows", "1", "--cols", "2"]) == 1
+    assert "no convergence" in capsys.readouterr().err
 
 
 def test_annealing_schedule_validation():
