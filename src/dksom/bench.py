@@ -73,13 +73,14 @@ _ONLINE_PAIRS = 40
 _MIN_PRESENTATIONS = 2  # smallest legal long burst (short burst is always 1)
 _PILOT_PRESENTATIONS = 8
 _SIGMA = 1.5  # neighborhood radius of every timed phase
+N_BLOBS = 5  # Gaussian blobs in blob_dataset
 
 
-def blob_dataset(n: int, seed: int = 0, n_blobs: int = 5) -> VectorDataset:
+def blob_dataset(n: int, seed: int = 0) -> VectorDataset:
     """Seeded 2-D Gaussian blobs, the shared fixture for all benchmark phases."""
     rng = np.random.default_rng(seed)
-    centers = rng.uniform(-10.0, 10.0, size=(n_blobs, 2))
-    labels = rng.integers(0, n_blobs, size=n)
+    centers = rng.uniform(-10.0, 10.0, size=(N_BLOBS, 2))
+    labels = rng.integers(0, N_BLOBS, size=n)
     points = centers[labels] + rng.standard_normal((n, 2))
     return VectorDataset.from_array(points)
 

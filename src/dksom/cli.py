@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,22 +48,22 @@ SETTINGS = (
     ("input.path", "input", str, None, None),
     ("input.kind", "input_kind", str, None, INPUT_KINDS),
     ("output.dir", "out", str, None, None),
-    ("seed", "seed", int, 0, None),
+    ("seed", "seed", int, Schedule.seed, None),
     ("init.mode", "init_mode", str, "indicator", ("indicator", "uniform")),
     ("grid.rows", "rows", int, 5, None),
     ("grid.cols", "cols", int, 5, None),
     ("grid.topology", "topology", str, "rectangular", TOPOLOGIES),
     ("schedule.sigma0", "sigma0", float, None, None),
-    ("schedule.sigma_final", "sigma_final", float, 0.3, None),
-    ("schedule.eps0", "eps0", float, 0.5, None),
-    ("schedule.eps_final", "eps_final", float, 0.01, None),
+    ("schedule.sigma_final", "sigma_final", float, Schedule.sigma_end, None),
+    ("schedule.eps0", "eps0", float, Schedule.eps_start, None),
+    ("schedule.eps_final", "eps_final", float, Schedule.eps_end, None),
     ("schedule.t_max", "t_max", int, 50, None),
-    ("schedule.mode", "schedule_mode", str, "exponential_decay", ("exponential_decay", "fixed")),
+    ("schedule.mode", "schedule_mode", str, Schedule.sigma_mode, ("exponential_decay", "fixed")),
     ("stmp.beta0", "beta0", float, None, None),
-    ("stmp.beta_factor", "beta_factor", float, 1.1, None),
+    ("stmp.beta_factor", "beta_factor", float, stmp.AnnealingSchedule.beta_factor, None),
     ("stmp.beta_max", "beta_max", float, None, None),
-    ("stmp.inner_tol", "inner_tol", float, 1e-6, None),
-    ("stmp.inner_max_iters", "inner_max_iters", int, 500, None),
+    ("stmp.inner_tol", "inner_tol", float, stmp.AnnealingSchedule.inner_tol, None),
+    ("stmp.inner_max_iters", "inner_max_iters", int, stmp.AnnealingSchedule.inner_max_iters, None),
     ("nystrom.landmarks", "nystrom_landmarks", int, None, None),
     ("nystrom.seed", "nystrom_seed", int, 0, None),
 )
@@ -74,15 +74,15 @@ DEFAULTS = {attr: default for _, attr, _, default, _ in SETTINGS}
 # report.json lists any other setting given a non-default value as ignored
 _BATCH_READS = ("t_max", "sigma0", "sigma_final", "schedule_mode")
 _ONLINE_READS = _BATCH_READS + ("eps0", "eps_final")
-_COEFFICIENT_READS = ("init_mode", "nystrom_landmarks", "nystrom_seed")
+_LANDMARK_READS = ("nystrom_landmarks", "nystrom_seed")
 _READS = {
     "classic-batch": _BATCH_READS,
     "classic-online": _ONLINE_READS,
     "median": _BATCH_READS,
-    "relational-batch": _BATCH_READS + _COEFFICIENT_READS,
-    "relational-online": _ONLINE_READS + _COEFFICIENT_READS,
-    "kernel-batch": _BATCH_READS + _COEFFICIENT_READS,
-    "kernel-online": _ONLINE_READS + _COEFFICIENT_READS,
+    "relational-batch": _BATCH_READS + _LANDMARK_READS,
+    "relational-online": _ONLINE_READS + ("init_mode",) + _LANDMARK_READS,
+    "kernel-batch": _BATCH_READS + _LANDMARK_READS,
+    "kernel-online": _ONLINE_READS + ("init_mode",) + _LANDMARK_READS,
     "stmp": ("sigma0", "beta0", "beta_factor", "beta_max", "inner_tol", "inner_max_iters"),
 }
 _ALWAYS_READ = ("algorithm", "input", "input_kind", "out", "seed", "rows", "cols", "topology")
@@ -229,13 +229,8 @@ def _train(cfg, data, kind, lattice) -> _Run:
                     {"prototypes": ("prototype_indices.txt", result.prototype_indices)},
                     fields, result.energy_trace)
     if alg == "stmp":
-        if (cfg["beta0"] is None) != (cfg["beta_max"] is None):
-            raise ValueError("stmp.beta0 and stmp.beta_max must be set together")
-        tuning = {key: cfg[key] for key in ("beta_factor", "inner_tol", "inner_max_iters")}
-        if cfg["beta0"] is None:
-            annealing = replace(stmp.default_annealing(dm), **tuning)
-        else:
-            annealing = stmp.AnnealingSchedule(cfg["beta0"], beta_max=cfg["beta_max"], **tuning)
+        annealing = stmp.AnnealingSchedule(cfg["beta0"], cfg["beta_factor"], cfg["beta_max"],
+                                           cfg["inner_tol"], cfg["inner_max_iters"])
         sigma = cfg["sigma0"] if cfg["sigma0"] is not None else 1.0
         result = stmp.train_stmp(dm, lattice, sigma=sigma, annealing=annealing, seed=cfg["seed"])
         protos = result.mixing.T
@@ -245,14 +240,14 @@ def _train(cfg, data, kind, lattice) -> _Run:
         fields = {"outer_steps": result.trace.shape[0], "entropy_trace": result.trace[:, 3]}
         return _Run(result, dm, protos, files, fields, result.trace[:, 2])  # max |delta e|
 
-    init_mode = cfg["init_mode"]
+    init = {"init_mode": cfg["init_mode"]} if online else {}  # batch starts on data points
     if landmarks is None:
         if alg.startswith("kernel"):
             train = relsom.train_online_kernel if online else relsom.train_batch_kernel
-            result = train(data, lattice, schedule, init_mode=init_mode)
+            result = train(data, lattice, schedule, **init)
         else:
             train = relsom.train_online_relational if online else relsom.train_batch_relational
-            result = train(dm, lattice, schedule, init_mode=init_mode)
+            result = train(dm, lattice, schedule, **init)
     else:
         nseed = cfg["nystrom_seed"]
         if kind == "kernel":
@@ -260,7 +255,7 @@ def _train(cfg, data, kind, lattice) -> _Run:
         else:
             source, factor = dm, nystrom.nystrom_fit_dissimilarity(dm, landmarks, seed=nseed)
         train = nystrom.train_online_approx if online else nystrom.train_batch_approx
-        result = train(factor, lattice, schedule, init_mode=init_mode)
+        result = train(factor, lattice, schedule, **init)
         sample = nystrom.sample_reconstruction_error(factor, source.values, seed=nseed)
     fields = {key: getattr(result, key) for key in
               ("negative_distances", "empty_unit_events", "stopped_early", "resync_drift_max")}

@@ -78,15 +78,6 @@ def _square_copy(values, what: str) -> np.ndarray:
     return arr
 
 
-def _uneven_pairs(arr: np.ndarray) -> list[tuple[slice, slice]]:
-    """Row-block pairs (rows, cols), rows up to cols, where arr[rows, cols]
-    is not bitwise arr[cols, rows]^T; a pair of zeros of opposite sign counts."""
-    blocks = list(_row_blocks(arr.shape[0]))
-    return [(rows, cols) for b, rows in enumerate(blocks) for cols in blocks[b:]
-            if not np.array_equal(arr[rows, cols].view(np.int64),
-                                  arr[cols, rows].T.view(np.int64))]
-
-
 def _own(arr: np.ndarray, what: str, nonnegative: bool) -> tuple[np.ndarray, float]:
     """Validate a square float array that nothing else holds, make it exactly
     symmetric in place and freeze it; returns it with its largest asymmetry.
@@ -96,8 +87,9 @@ def _own(arr: np.ndarray, what: str, nonnegative: bool) -> tuple[np.ndarray, flo
     ASYMMETRY_TOL is averaged as 0.5 a + 0.5 a^T: in the normal range that is
     0.5 (a + a^T) bit for bit, and near the largest double it cannot overflow.
     """
+    blocks = list(_row_blocks(arr.shape[0]))
     lows = []
-    for rows in _row_blocks(arr.shape[0]):
+    for rows in blocks:
         low, high = arr[rows].min(), arr[rows].max()  # a NaN makes both NaN
         if not (np.isfinite(low) and np.isfinite(high)):
             raise MatrixValidationError(f"{what} contains non-finite entries")
@@ -106,7 +98,9 @@ def _own(arr: np.ndarray, what: str, nonnegative: bool) -> tuple[np.ndarray, flo
         i, j = np.unravel_index(int(np.argmin(arr)), arr.shape)
         raise MatrixValidationError(f"negative dissimilarity entry {float(arr[i, j])!r} at ({i}, {j})")
 
-    uneven = _uneven_pairs(arr)
+    uneven = [(rows, cols) for b, rows in enumerate(blocks) for cols in blocks[b:]
+              if not np.array_equal(arr[rows, cols].view(np.int64),  # -0.0 is not 0.0
+                                    arr[cols, rows].T.view(np.int64))]
     asym = max((float(np.max(np.abs(arr[rows, cols] - arr[cols, rows].T)))
                 for rows, cols in uneven), default=0.0)
     if asym > ASYMMETRY_TOL:
@@ -333,15 +327,13 @@ def squared_euclidean(dataset: VectorDataset) -> DissimilarityMatrix:
     """Pairwise squared Euclidean distances, zero diagonal.
 
     D overwrites the Gram matrix x x^T, so D is the only N x N array made.
+    NumPy forms x x^T as one triangle mirrored (a symmetric rank-k update),
+    so D comes out exactly symmetric; _owning checks that, as for any input.
     """
     x = dataset.points
     sq = np.einsum("ij,ij->i", x, x)
     d = x @ x.T
     _squared_distances(d, sq, out=d)
-    for rows, cols in _uneven_pairs(d):  # NumPy's x x^T is symmetric; other BLAS calls may not be
-        mean = 0.5 * (d[rows, cols] + d[cols, rows].T)
-        d[rows, cols] = mean
-        d[cols, rows] = mean.T
     return DissimilarityMatrix._owning(d)
 
 

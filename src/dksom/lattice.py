@@ -60,13 +60,16 @@ class Lattice:
         weights would carry into the coefficients, where every product that
         reads them runs far slower. N of them sum to N * 2.2e-308, below
         vectorsom.EMPTY_UNIT_WEIGHT (1e-300) for any N under 4e7, so no
-        trainer's decision to skip a unit as empty changes.
+        trainer's decision to skip a unit as empty changes. The diagonal is
+        1 even where 2 sigma^2 rounds to 0 and the formula reads 0/0 there.
         """
         if sigma <= 0.0:
             raise ValueError(f"sigma must be positive, got {sigma}")
         if not np.isfinite(sigma):
             raise ValueError(f"sigma must be finite, got {sigma}")
-        h = np.exp(self._sqdist / (-2.0 * sigma * sigma))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            h = np.exp(self._sqdist / (-2.0 * sigma * sigma))
+        np.fill_diagonal(h, 1.0)
         h[h < np.finfo(float).tiny] = 0.0
         return h
 

@@ -226,11 +226,9 @@ def train_batch_approx(
     lattice: Lattice,
     schedule: Schedule,
     stop_on_stable_assignment: bool = True,
-    init_mode: str = "indicator",
 ) -> CoefficientSOMResult:
     """Batch relational SOM with all distances served by the factor."""
-    return _train_batch(_LandmarkState(factor), lattice, schedule, stop_on_stable_assignment,
-                        init_mode)
+    return _train_batch(_LandmarkState(factor), lattice, schedule, stop_on_stable_assignment)
 
 
 def train_online_approx(

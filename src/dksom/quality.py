@@ -18,6 +18,7 @@ from .relsom import unit_row_sums
 from .vectorsom import map_energy
 
 NEIGHBOR_SQDIST = 1.0 + 1e-9  # lattice 4-neighborhood (6 on hexagonal grids)
+KH_REL_TOL = 1e-9  # relative gap verify_koenig_huygens accepts between its two sides
 
 
 @dataclass(frozen=True)
@@ -96,10 +97,10 @@ def criterion_report(d_values: np.ndarray, protos, assignments: np.ndarray, h: n
     )
 
 
-def verify_koenig_huygens(dataset, weights, tol: float = 1e-9) -> bool:
+def verify_koenig_huygens(dataset, weights) -> bool:
     """Weighted variance about the barycenter vs normalized pairwise double sum.
 
-    Both sides are evaluated independently; returns |lhs - rhs| <= tol*(1+|rhs|).
+    Both sides are evaluated independently; returns |lhs - rhs| <= KH_REL_TOL*(1+|rhs|).
     """
     x = dataset.points
     beta = np.asarray(weights, dtype=float)
@@ -114,7 +115,7 @@ def verify_koenig_huygens(dataset, weights, tol: float = 1e-9) -> bool:
     sq = np.einsum("ij,ij->i", x, x)
     pair = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
     rhs = float(beta @ pair @ beta / (2.0 * total))
-    return abs(lhs - rhs) <= tol * (1.0 + abs(rhs))
+    return abs(lhs - rhs) <= KH_REL_TOL * (1.0 + abs(rhs))
 
 
 def triangle_bound_sides(d_values: np.ndarray, weights) -> tuple[float, float]:

@@ -321,7 +321,6 @@ def _train_batch(
     lattice: Lattice,
     schedule: Schedule,
     stop_on_stable_assignment: bool,
-    init_mode: str,
 ) -> CoefficientSOMResult:
     """Batch engine on coefficients, for a matrix view as _train_online takes.
 
@@ -330,17 +329,15 @@ def _train_batch(
     row sums of R, and the coefficients are formed once, at the end. A dense
     view carries those sums across iterations (BlockSums), so an iteration
     in which few points moved reads only their rows; the final distances
-    come from a fresh pass. The first iteration reads R at the seeds
-    (indicator init) or sums it once (uniform init). The dense matrix.dense
-    serves the rows of units that an update skipped as empty, and every row
-    while one unit holds all points: all rows are then the same
-    mathematically, so the distances tie and only the rounding of the dense
-    product tells the units apart.
+    come from a fresh pass. Every unit starts on a data point (indicator
+    init), so the first iteration reads R at the seeds. The dense
+    matrix.dense serves only the rows of units that an update skipped as
+    empty.
     """
     n, k = matrix.rows.shape[0], lattice.n_units
 
     def init(rng):
-        return _Coefficients(_init_coefficients(n, k, rng, init_mode), np.ones(k, dtype=bool))
+        return _Coefficients(_init_coefficients(n, k, rng, "indicator"), np.ones(k, dtype=bool))
 
     def block_distances(c, weights, points=slice(None), fresh=False):
         g, q = matrix.block(c, weights, points, fresh)
@@ -348,8 +345,6 @@ def _train_batch(
 
     def distances(st: _Coefficients, last: bool) -> np.ndarray:
         if st.c is None:
-            if init_mode == "uniform":
-                return block_distances(np.zeros(n, dtype=np.int64), np.full((k, 1), 1.0 / n))
             return block_distances(np.arange(k), np.eye(k), st.rows.argmax(axis=1))
         dist = np.empty((n, k))
         formed = ~st.kept
@@ -369,10 +364,7 @@ def _train_batch(
         newly = skipped & ~st.kept
         if newly.any():
             st.rows[newly] = st.form()[newly]
-        new = _Coefficients(st.rows, skipped, c, h)
-        if np.count_nonzero(~empty) == 1:
-            new = _Coefficients(new.form(), np.ones(k, dtype=bool), c, h)
-        return new, int(np.count_nonzero(skipped))
+        return _Coefficients(st.rows, skipped, c, h), int(np.count_nonzero(skipped))
 
     run = _batch_loop(lattice, schedule, stop_on_stable_assignment, init, distances, update)
     sums = matrix.sums
@@ -389,7 +381,6 @@ def train_batch_relational(
     lattice: Lattice,
     schedule: Schedule,
     stop_on_stable_assignment: bool = True,
-    init_mode: str = "indicator",
 ) -> CoefficientSOMResult:
     """Batch SOM on a dissimilarity matrix.
 
@@ -398,7 +389,7 @@ def train_batch_relational(
     comparison against the vector trainer, which never stops early).
     """
     return _train_batch(_DenseState(dismatrix.values, kernel_form=False), lattice, schedule,
-                        stop_on_stable_assignment, init_mode)
+                        stop_on_stable_assignment)
 
 
 def train_batch_kernel(
@@ -406,11 +397,10 @@ def train_batch_kernel(
     lattice: Lattice,
     schedule: Schedule,
     stop_on_stable_assignment: bool = True,
-    init_mode: str = "indicator",
 ) -> CoefficientSOMResult:
     """Batch SOM on a kernel matrix (distances via the kernel trick)."""
     return _train_batch(_DenseState(kernel.values, kernel_form=True), lattice, schedule,
-                        stop_on_stable_assignment, init_mode)
+                        stop_on_stable_assignment)
 
 
 def _distances(matrix, x, q, m_ii):

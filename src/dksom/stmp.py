@@ -17,7 +17,7 @@ structure emerges; annealing past it breaks the symmetry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,18 +37,20 @@ class PowerIterationError(RuntimeError, ValueError):
 
 @dataclass(frozen=True)
 class AnnealingSchedule:
-    beta0: float
-    beta_factor: float
-    beta_max: float
+    beta0: float | None = None  # with beta_max None: 0.5 to 1e4 critical_beta(D), in train_stmp
+    beta_factor: float = 1.1
+    beta_max: float | None = None
     inner_tol: float = 1e-6
     inner_max_iters: int = 500
 
     def __post_init__(self):
-        if self.beta0 <= 0.0:
+        if (self.beta0 is None) != (self.beta_max is None):
+            raise ValueError("beta0 and beta_max must be set together")
+        if self.beta0 is not None and self.beta0 <= 0.0:
             raise ValueError(f"beta0 must be positive, got {self.beta0}")
         if self.beta_factor <= 1.0:
             raise ValueError(f"beta_factor must exceed 1, got {self.beta_factor}")
-        if self.beta0 >= self.beta_max:
+        if self.beta0 is not None and self.beta0 >= self.beta_max:
             raise ValueError(f"need beta0 < beta_max, got {self.beta0} >= {self.beta_max}")
         if self.inner_tol <= 0.0:
             raise ValueError("inner_tol must be positive")
@@ -56,7 +58,7 @@ class AnnealingSchedule:
             raise ValueError(f"inner_max_iters must be at least 1, got {self.inner_max_iters}")
         for name in ("beta0", "beta_factor", "beta_max", "inner_tol"):
             value = getattr(self, name)
-            if not np.isfinite(value):
+            if value is not None and not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
 
 
@@ -111,12 +113,6 @@ def critical_beta(dismatrix) -> float:
     return 1.0 / lam
 
 
-def default_annealing(dismatrix) -> AnnealingSchedule:
-    """Geometric sweep from well below to far above the critical scale."""
-    bc = critical_beta(dismatrix)
-    return AnnealingSchedule(beta0=0.5 * bc, beta_factor=1.1, beta_max=1e4 * bc)
-
-
 def soft_update(e: np.ndarray, beta: float) -> np.ndarray:
     """Row-stochastic memberships gamma = softmax(-beta * e), max-shifted."""
     if beta <= 0.0:
@@ -162,7 +158,7 @@ def train_stmp(
     dismatrix,
     lattice: Lattice,
     sigma: float = 1.0,
-    annealing: AnnealingSchedule | None = None,
+    annealing: AnnealingSchedule = AnnealingSchedule(),
     seed: int = 0,
 ) -> STMPResult:
     """Anneal the mean-field fixed point from beta0 up to beta_max.
@@ -172,11 +168,12 @@ def train_stmp(
     scale. Crisp assignments are the per-row argmax of the final memberships
     (ties to the smallest unit index).
     """
+    if annealing.beta0 is None:
+        bc = critical_beta(dismatrix)
+        annealing = replace(annealing, beta0=0.5 * bc, beta_max=1e4 * bc)
     d = dismatrix.values
     n, k = d.shape[0], lattice.n_units
     h = lattice.neighborhood(sigma)
-    if annealing is None:
-        annealing = default_annealing(dismatrix)
     rng = np.random.default_rng(seed)
     e = rng.uniform(0.0, _INIT_NOISE, size=(n, k))
 

@@ -45,6 +45,14 @@ from .stmp import AnnealingSchedule, critical_beta, mean_field, soft_update, tra
 # D_01 = 10 > D_02 + D_21 = 2
 NON_METRIC_WITNESS = np.array([[0.0, 10.0, 1.0], [10.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
 
+SEEDS = {"equivalence": 901, "kh": 902, "triangle": 903, "stmp-limit": 904, "nystrom": 905}
+# kernels trained both ways, points per kernel, and draws of the pointwise identity
+EQUIVALENCE_KERNELS, EQUIVALENCE_POINTS, DISTANCE_TRIPLES = 50, 100, 10_000
+KH_CONFIGS = 1000  # weighted point sets of the variance identity
+TRIANGLE_WEIGHTS, TRIANGLE_POINTS = 1000, 30  # weight vectors on one tree metric of this size
+PSD_OVERSAMPLE = 10  # random_psd_kernel draws n + PSD_OVERSAMPLE features per point
+BLOB_SEPARATION, BLOB_SEED = 6.0, 7  # two_blob_dissimilarity's cluster offset and draw
+
 
 def tree_metric(n: int, rng: np.random.Generator) -> np.ndarray:
     """Shortest-path distances on a random weighted tree (an exact metric)."""
@@ -57,30 +65,28 @@ def tree_metric(n: int, rng: np.random.Generator) -> np.ndarray:
     return d
 
 
-def random_psd_kernel(n: int, rng: np.random.Generator, oversample: int = 10) -> KernelMatrix:
-    b = rng.standard_normal((n, n + oversample))
-    return KernelMatrix.from_array(b @ b.T / (n + oversample))
+def random_psd_kernel(n: int, rng: np.random.Generator) -> KernelMatrix:
+    b = rng.standard_normal((n, n + PSD_OVERSAMPLE))
+    return KernelMatrix.from_array(b @ b.T / (n + PSD_OVERSAMPLE))
 
 
-def two_blob_dissimilarity(
-    n: int = 60, separation: float = 6.0, seed: int = 7
-) -> tuple[DissimilarityMatrix, np.ndarray]:
+def two_blob_dissimilarity(n: int = 60) -> tuple[DissimilarityMatrix, np.ndarray]:
     """Two tight, well-separated 2-D clusters; returns (D, blob labels)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(BLOB_SEED)
     half = n // 2
     labels = np.repeat([0, 1], [half, n - half])
     points = rng.standard_normal((n, 2)) * 0.5
-    points[labels == 1, 0] += separation
+    points[labels == 1, 0] += BLOB_SEPARATION
     return squared_euclidean(VectorDataset.from_array(points)), labels
 
 
-def suite_equivalence(n_kernels: int = 50, n: int = 100, n_triples: int = 10_000, seed: int = 901):
-    rng = np.random.default_rng(seed)
+def suite_equivalence():
+    rng = np.random.default_rng(SEEDS["equivalence"])
     lattice = Lattice(3, 3)
     bad_runs = 0
     worst_coeff = 0.0
-    for _ in range(n_kernels):
-        kern = random_psd_kernel(n, rng)
+    for _ in range(EQUIVALENCE_KERNELS):
+        kern = random_psd_kernel(EQUIVALENCE_POINTS, rng)
         run_seed = int(rng.integers(0, 2**31))
         schedule = Schedule(10, seed=run_seed)
         rk = train_batch_kernel(kern, lattice, schedule, stop_on_stable_assignment=False)
@@ -91,10 +97,11 @@ def suite_equivalence(n_kernels: int = 50, n: int = 100, n_triples: int = 10_000
         bad_runs += 0 if same else 1
         worst_coeff = max(worst_coeff, float(np.max(np.abs(rk.coefficients - rr.coefficients))))
     yield ("kernel-vs-relational training", bad_runs == 0 and worst_coeff <= 1e-12,
-           f"{n_kernels} kernels, {bad_runs} divergent runs, max coefficient gap {worst_coeff:.2e}")
+           f"{EQUIVALENCE_KERNELS} kernels, {bad_runs} divergent runs, "
+           f"max coefficient gap {worst_coeff:.2e}")
 
     worst = 0.0
-    for _ in range(n_triples):
+    for _ in range(DISTANCE_TRIPLES):
         m = int(rng.integers(5, 40))
         kern = random_psd_kernel(m, rng)
         alpha = rng.uniform(0.0, 1.0, m)
@@ -104,51 +111,51 @@ def suite_equivalence(n_kernels: int = 50, n: int = 100, n_triples: int = 10_000
         rhs = kernel_distance(kern.values, alpha, i)
         worst = max(worst, abs(lhs - rhs))
     yield ("pointwise distance identity", worst < 1e-9,
-           f"{n_triples} triples, max |lhs-rhs| = {worst:.2e}")
+           f"{DISTANCE_TRIPLES} triples, max |lhs-rhs| = {worst:.2e}")
 
 
-def suite_kh(n_configs: int = 1000, seed: int = 902):
-    rng = np.random.default_rng(seed)
+def suite_kh():
+    rng = np.random.default_rng(SEEDS["kh"])
     failures = 0
-    for _ in range(n_configs):
+    for _ in range(KH_CONFIGS):
         n = int(rng.integers(2, 201))
         p = int(rng.integers(1, 11))
         pts = VectorDataset.from_array(rng.standard_normal((n, p)) * rng.uniform(0.1, 10.0))
         weights = rng.uniform(0.1, 5.0, n)
-        if not verify_koenig_huygens(pts, weights, tol=1e-9):
+        if not verify_koenig_huygens(pts, weights):
             failures += 1
-    yield ("variance identity", failures == 0, f"{n_configs} configurations, {failures} failures")
+    yield ("variance identity", failures == 0, f"{KH_CONFIGS} configurations, {failures} failures")
 
 
-def suite_triangle(n_weights: int = 1000, n: int = 30, seed: int = 903):
-    rng = np.random.default_rng(seed)
-    d = tree_metric(n, rng)
+def suite_triangle():
+    rng = np.random.default_rng(SEEDS["triangle"])
+    d = tree_metric(TRIANGLE_POINTS, rng)
     worst_slack = np.inf
-    for _ in range(n_weights):
-        beta = rng.uniform(0.0, 1.0, n)
-        beta[int(rng.integers(0, n))] += 0.5  # keep the sum safely positive
+    for _ in range(TRIANGLE_WEIGHTS):
+        beta = rng.uniform(0.0, 1.0, TRIANGLE_POINTS)
+        beta[int(rng.integers(0, TRIANGLE_POINTS))] += 0.5  # keep the sum safely positive
         lhs, rhs = triangle_bound_sides(d, beta)
         worst_slack = min(worst_slack, rhs - lhs)
     yield ("bound on tree metrics", worst_slack >= -1e-9,
-           f"{n_weights} weight vectors, worst slack {worst_slack:.3e}")
+           f"{TRIANGLE_WEIGHTS} weight vectors, worst slack {worst_slack:.3e}")
 
     lhs, rhs = triangle_bound_sides(NON_METRIC_WITNESS, np.ones(3))
     yield ("non-metric witness violates", lhs > rhs,
            f"pairwise cost {lhs:g} > best medoid cost {rhs:g}")
 
 
-def suite_stmp_limit(seed: int = 904):
+def suite_stmp_limit():
     dm, _ = two_blob_dissimilarity()
     lattice = Lattice(1, 2)
     bc = critical_beta(dm)
     beta = 0.1 * bc
     res = train_stmp(dm, lattice, sigma=0.5,
-                     annealing=AnnealingSchedule(beta, 1.1, beta * 1.05), seed=seed)
+                     annealing=AnnealingSchedule(beta, 1.1, beta * 1.05), seed=SEEDS["stmp-limit"])
     dev = float(np.max(np.abs(res.gamma - 0.5)))
     yield ("no symmetry breaking below critical beta", dev < 1e-3,
            f"beta = 0.1/lambda_max, max |gamma - 1/K| = {dev:.2e}")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEEDS["stmp-limit"])
     n, k = 80, 9
     d = rng.uniform(0.5, 4.0, (n, n))
     d = 0.5 * (d + d.T)
@@ -163,7 +170,8 @@ def suite_stmp_limit(seed: int = 904):
            f"agreement {agree:.3f} over {n} points")
 
 
-def suite_nystrom(seed: int = 905):
+def suite_nystrom():
+    seed = SEEDS["nystrom"]
     rng = np.random.default_rng(seed)
     n = 80
     b = rng.standard_normal((n, 3 * n))
@@ -191,19 +199,19 @@ def suite_nystrom(seed: int = 905):
     yield ("factored distance matches dense reconstruction", worst < 1e-9,
            f"200 queries, max gap {worst:.2e}")
 
-    big = squared_euclidean(blob_dataset(4000, seed)).values
+    big = squared_euclidean(blob_dataset(4000, seed))
     h_assign = np.random.default_rng(seed).integers(0, 25, 4000)
     w = Lattice(5, 5).neighborhood(1.5)[:, h_assign]
     a = w / w.sum(axis=1, keepdims=True)
-    fac = nystrom_fit_dissimilarity(DissimilarityMatrix.from_array(big), 100, seed=seed)
-    relational_distances(big, a)  # warm up caches before timing
+    fac = nystrom_fit_dissimilarity(big, 100, seed=seed)
+    relational_distances(big.values, a)  # warm up caches before timing
     approx_relational_distances(fac, a)
     # five interleaved rounds, best-of each: robust against a shared CPU
     # stalling during any single round
     exact_times, approx_times = [], []
     for _ in range(5):
         t0 = time.process_time()
-        relational_distances(big, a)
+        relational_distances(big.values, a)
         exact_times.append(time.process_time() - t0)
         t0 = time.process_time()
         approx_relational_distances(fac, a)

@@ -108,7 +108,7 @@ def test_criterion_03_variance_identity(criterion_report):
         p = int(rng.integers(1, 11))
         x = rng.normal(size=(n, p)) * rng.uniform(0.5, 3.0)
         w = rng.uniform(0.1, 5.0, size=n)
-        if not verify_koenig_huygens(VectorDataset.from_array(x), w, tol=1e-9):
+        if not verify_koenig_huygens(VectorDataset.from_array(x), w):
             failures += 1
     criterion_report(
         3,

@@ -1,3 +1,4 @@
+import itertools
 import json
 import warnings
 
@@ -16,6 +17,7 @@ from dksom.dismat import (
 )
 from dksom.lattice import Lattice, Schedule
 from dksom.nystrom import double_center
+from dksom.verify import suite_nystrom
 
 
 @pytest.fixture()
@@ -262,9 +264,9 @@ ONLINE_IGNORES = ["stmp.beta_factor", "nystrom.seed"]
     ("classic-batch", "vec", ["init.mode"] + BATCH_IGNORES),
     ("classic-online", "vec", ["init.mode"] + ONLINE_IGNORES),
     ("median", "dis", ["init.mode"] + BATCH_IGNORES),
-    ("relational-batch", "dis", BATCH_IGNORES),
+    ("relational-batch", "dis", ["init.mode"] + BATCH_IGNORES),
     ("relational-online", "dis", ONLINE_IGNORES),
-    ("kernel-batch", "ker", BATCH_IGNORES),
+    ("kernel-batch", "ker", ["init.mode"] + BATCH_IGNORES),
     ("kernel-online", "ker", ONLINE_IGNORES),
     ("stmp", "dis", ["init.mode", "schedule.sigma_final", "schedule.eps0", "schedule.t_max",
                      "schedule.mode", "nystrom.seed"]),
@@ -360,6 +362,28 @@ def test_train_online_writes_stochastic_coefficients(fixtures, algorithm, source
     assert 0.0 <= report["resync_drift_max"] < 1e-12
 
 
+@pytest.mark.parametrize("algorithm, source", [
+    ("classic-batch", "vec"), ("classic-online", "vec"), ("median", "dis"),
+    ("relational-batch", "dis"), ("relational-online", "dis"),
+    ("kernel-batch", "ker"), ("kernel-online", "ker"), ("stmp", "dis"),
+])
+def test_train_at_a_sigma_whose_square_underflows(fixtures, algorithm, source):
+    """At sigma = 1e-200, 2 sigma^2 rounds to 0 and the neighborhood is the
+    identity: the costs are finite and the coefficients row-stochastic."""
+    kinds = {"vec": "vectors", "dis": "dissimilarity", "ker": "kernel"}
+    out = fixtures["tmp"] / f"run-tiny-{algorithm}"
+    assert main(["train", "--config", str(fixtures["cfg"]), "--algorithm", algorithm,
+                 "--input", str(fixtures[source]), "--input-kind", kinds[source],
+                 "--out", str(out), "--sigma0", "1e-200", "--sigma-final", "1e-200"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert np.isfinite(report["final_quantization_cost"])
+    assert np.isfinite(report["final_clustering_cost"])
+    if (out / "coefficients.csv").exists():
+        coeffs = np.loadtxt(out / "coefficients.csv", delimiter=",", ndmin=2)
+        assert np.all(np.isfinite(coeffs)) and coeffs.min() >= 0.0
+        assert np.max(np.abs(coeffs.sum(axis=1) - 1.0)) < 1e-12
+
+
 def test_nystrom_rejected_for_median(fixtures, capsys):
     rc = main(["train", "--config", str(fixtures["cfg"]), "--algorithm", "median",
                "--input", str(fixtures["dis"]), "--input-kind", "dissimilarity",
@@ -435,10 +459,18 @@ def test_eps_is_checked_by_online_algorithms_only(fixtures, capsys):
 
 
 def test_verify_fast_suites_exit_0(capsys):
-    assert main(["verify", "kh"]) == 0
-    assert main(["verify", "triangle"]) == 0
+    for suite in ("kh", "triangle", "equivalence", "stmp-limit"):
+        assert main(["verify", suite]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_verify_nystrom_untimed_checks_pass():
+    # the fourth check times an N=4000 product against its landmark form
+    checks = list(itertools.islice(suite_nystrom(), 3))
+    assert [name for name, _, _ in checks] == ["full-landmark exactness", "rank-1 single landmark",
+                                               "factored distance matches dense reconstruction"]
+    assert all(ok for _, ok, _ in checks), checks
 
 
 def test_umatrix_subcommand_round_trip(fixtures):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,26 @@ def test_neighborhood_has_no_subnormal_weight(topology, sigma):
     h = Lattice(10, 10, topology).neighborhood(sigma)
     assert np.all((h == 0.0) | (h >= np.finfo(float).tiny))
     assert np.count_nonzero(h == 0.0) > 0
+
+
+@pytest.mark.parametrize("topology", ["rectangular", "hexagonal"])
+@pytest.mark.parametrize("sigma", [1e-160, 1e-200, 1e-320, np.float64(1e-200)],
+                         ids=["1e-160", "1e-200", "1e-320", "float64-1e-200"])
+def test_neighborhood_at_a_vanishing_sigma_is_the_identity(topology, sigma):
+    # 2 sigma^2 is subnormal or rounds to 0: the diagonal would read 0/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = Lattice(3, 4, topology).neighborhood(sigma)
+    assert np.array_equal(h, np.eye(12))
+
+
+@pytest.mark.parametrize("sigma", [1e200, np.float64(1e200), 1e308],
+                         ids=["1e200", "float64-1e200", "1e308"])
+def test_neighborhood_at_a_huge_sigma_is_all_ones(sigma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = Lattice(3, 4, "hexagonal").neighborhood(sigma)
+    assert np.array_equal(h, np.ones((12, 12)))
 
 
 def test_default_sigma_start_half_diameter():

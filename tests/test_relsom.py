@@ -129,10 +129,8 @@ def test_batch_coefficients_row_stochastic():
     rng = np.random.default_rng(14)
     x = rng.normal(size=(45, 2))
     d = squared_euclidean(VectorDataset.from_array(x))
-    for init_mode in ("indicator", "uniform"):
-        res = train_batch_relational(d, Lattice(2, 3, "rectangular"), Schedule(20, seed=3),
-                                     init_mode=init_mode)
-        assert np.max(np.abs(res.coefficients.sum(axis=1) - 1.0)) < 1e-12
+    res = train_batch_relational(d, Lattice(2, 3, "rectangular"), Schedule(20, seed=3))
+    assert np.max(np.abs(res.coefficients.sum(axis=1) - 1.0)) < 1e-12
 
 
 def test_stable_assignment_stops_early():
@@ -230,12 +228,12 @@ def test_incremental_online_engine_matches_naive_reference(kind, init_mode):
     assert ref.resync_drift_max is None
 
 
-def _dense_batch_reference(n, matrix_dist, lattice, schedule, init_mode):
+def _dense_batch_reference(n, matrix_dist, lattice, schedule):
     """The batch loop on explicit coefficients and dense distances: every
     iteration forms A with _coefficient_update and evaluates matrix_dist(A),
     an N^2 K product. Runs all schedule.steps iterations."""
     sigmas = schedule.sigmas(lattice)
-    a = _init_coefficients(n, lattice.n_units, np.random.default_rng(schedule.seed), init_mode)
+    a = _init_coefficients(n, lattice.n_units, np.random.default_rng(schedule.seed), "indicator")
     trace, energies, skipped = [], [], 0
     for sigma in sigmas:
         h = lattice.neighborhood(sigma)
@@ -267,43 +265,34 @@ def _batch_case(kind, n, seed):
 
 
 _ENGINE_CASES = [
-    # kind, N, lattice (rows, cols, topology), schedule, init mode
-    ("squared-euclidean", 40, (3, 3, "rectangular"), Schedule(15, seed=1), "indicator"),
-    ("squared-euclidean", 40, (3, 3, "hexagonal"), Schedule(15, seed=2), "indicator"),
-    ("squared-euclidean", 40, (1, 5, "rectangular"), Schedule(15, seed=3), "uniform"),
-    ("l1", 35, (2, 4, "hexagonal"), Schedule(12, seed=4), "indicator"),
-    ("l1", 35, (1, 6, "hexagonal"), Schedule(12, seed=5), "uniform"),
-    ("rbf", 30, (3, 2, "rectangular"), Schedule(12, seed=6), "indicator"),
-    ("rbf", 30, (1, 4, "rectangular"), Schedule(12, seed=7), "uniform"),
-    ("squared-euclidean", 1, (1, 1, "rectangular"), Schedule(5, seed=8), "indicator"),
-    ("squared-euclidean", 1, (2, 3, "hexagonal"), Schedule(5, seed=9), "uniform"),
-    ("l1", 3, (1, 5, "rectangular"), Schedule(8, seed=10), "uniform"),
-    ("duplicates", 36, (2, 3, "rectangular"), Schedule(12, seed=11), "indicator"),
-    ("duplicates", 36, (2, 3, "hexagonal"), Schedule(12, 0.02, 0.02, "fixed", seed=12),
-     "indicator"),
-    ("clusters", 30, (3, 3, "hexagonal"), Schedule(12, 1.0, 0.005, seed=13), "indicator"),
+    # kind, N, lattice (rows, cols, topology), schedule
+    ("squared-euclidean", 40, (3, 3, "rectangular"), Schedule(15, seed=1)),
+    ("squared-euclidean", 40, (3, 3, "hexagonal"), Schedule(15, seed=2)),
+    ("l1", 35, (2, 4, "hexagonal"), Schedule(12, seed=4)),
+    ("rbf", 30, (3, 2, "rectangular"), Schedule(12, seed=6)),
+    ("squared-euclidean", 1, (1, 1, "rectangular"), Schedule(5, seed=8)),
+    ("duplicates", 36, (2, 3, "rectangular"), Schedule(12, seed=11)),
+    ("duplicates", 36, (2, 3, "hexagonal"), Schedule(12, 0.02, 0.02, "fixed", seed=12)),
+    ("clusters", 30, (3, 3, "hexagonal"), Schedule(12, 1.0, 0.005, seed=13)),
 ]
 _SKIPPING_CASES = _ENGINE_CASES[-2:]
 
 
-@pytest.mark.parametrize("kind, n, grid, schedule, init_mode", _ENGINE_CASES,
-                         ids=[f"{c[0]}-N{c[1]}-{c[2][0]}x{c[2][1]}-{c[2][2]}-{c[4]}"
+@pytest.mark.parametrize("kind, n, grid, schedule", _ENGINE_CASES,
+                         ids=[f"{c[0]}-N{c[1]}-{c[2][0]}x{c[2][1]}-{c[2][2]}-indicator"
                               for c in _ENGINE_CASES])
-def test_block_sum_batch_engine_matches_dense_reference(kind, n, grid, schedule, init_mode):
+def test_block_sum_batch_engine_matches_dense_reference(kind, n, grid, schedule):
     """The engine on per-unit row sums takes every argmin the dense product
     takes, so its coefficients are the reference's bit for bit. Exact ties
     between distinct units are the exception: units whose prototypes
-    coincide mathematically (all of them right after a uniform init, or
-    units symmetric about two populated units on a 2-D lattice) are told
-    apart by rounding alone, and the two sums round differently. The
-    uniform-init cases therefore run on chains, where at most the
-    one-populated-unit state ties, and the engine takes that state dense."""
+    coincide mathematically (units symmetric about two populated units on a
+    2-D lattice, or every unit while one holds all points) are told apart by
+    rounding alone, and the two sums round differently."""
     trainer, matrix, matrix_dist = _batch_case(kind, n, seed=n + schedule.seed)
     lattice = Lattice(*grid)
-    res = trainer(matrix, lattice, schedule, stop_on_stable_assignment=False,
-                  init_mode=init_mode)
+    res = trainer(matrix, lattice, schedule, stop_on_stable_assignment=False)
     a, trace, energies, skipped, final = _dense_batch_reference(
-        matrix.n, matrix_dist, lattice, schedule, init_mode)
+        matrix.n, matrix_dist, lattice, schedule)
     assert np.array_equal(res.assignment_trace, trace)
     assert np.array_equal(res.assignments, final)
     assert np.array_equal(res.coefficients, a)
@@ -314,16 +303,15 @@ def test_block_sum_batch_engine_matches_dense_reference(kind, n, grid, schedule,
                                atol=1e-12 * np.max(np.abs(res.distances)))
 
 
-@pytest.mark.parametrize("kind, n, grid, schedule, init_mode", _SKIPPING_CASES,
+@pytest.mark.parametrize("kind, n, grid, schedule", _SKIPPING_CASES,
                          ids=["initial-row-kept", "formed-row-kept"])
-def test_block_sum_engine_cases_skip_empty_units(kind, n, grid, schedule, init_mode):
+def test_block_sum_engine_cases_skip_empty_units(kind, n, grid, schedule):
     """Two engine cases skip units as empty: at tiny sigma a unit whose seed
     duplicates another's wins no point at the first update and keeps its
     initial row; with sigma decaying below the lattice spacing, units that
     lose their points keep rows an earlier update formed."""
     trainer, matrix, _ = _batch_case(kind, n, seed=n + schedule.seed)
-    res = trainer(matrix, Lattice(*grid), schedule, stop_on_stable_assignment=False,
-                  init_mode=init_mode)
+    res = trainer(matrix, Lattice(*grid), schedule, stop_on_stable_assignment=False)
     assert res.empty_unit_events > 0
 
 
@@ -419,7 +407,7 @@ def test_block_sums_zero_emptied_groups_and_refill_them():
 def test_block_sums_pass_fresh_when_the_number_of_groups_changes():
     rng = np.random.default_rng(5)
     m = rng.normal(size=(30, 30))
-    one = np.zeros(30, dtype=np.int64)  # the uniform init's single group
+    one = np.zeros(30, dtype=np.int64)  # a single group
     c = rng.integers(0, 6, 30)
     sums = _assert_follows_fresh(m, [(one, 1), (c, 6), (c, 6), (_moves(rng, c, 6, 0.1), 6)])
     assert sums.passes == {"fresh": 2, "delta": 2}
@@ -468,7 +456,7 @@ def _blobs(n, seed):
     return centers[rng.integers(0, 4, n)] + rng.normal(size=(n, 2))
 
 
-def _carry_case(family, init_mode):
+def _carry_case(family):
     x = _blobs(240, 21)
     lattice, schedule = Lattice(4, 4), Schedule(30, seed=4)
     if family == "median":
@@ -477,21 +465,17 @@ def _carry_case(family, init_mode):
     if family == "kernel":
         sq = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
         k = KernelMatrix.from_array(np.exp(-sq / 18.0))
-        return lambda: train_batch_kernel(k, lattice, schedule, init_mode=init_mode)
+        return lambda: train_batch_kernel(k, lattice, schedule)
     dm = squared_euclidean(VectorDataset.from_array(x))
-    return lambda: train_batch_relational(dm, lattice, schedule, init_mode=init_mode)
+    return lambda: train_batch_relational(dm, lattice, schedule)
 
 
-_CARRY_CASES = [("relational", "indicator"), ("relational", "uniform"),
-                ("kernel", "indicator"), ("kernel", "uniform"), ("median", None)]
-
-
-@pytest.mark.parametrize("family, init_mode", _CARRY_CASES,
-                         ids=[f"{f}-{i}" if i else f for f, i in _CARRY_CASES])
-def test_carried_block_sums_train_as_fresh_passes_do(family, init_mode, monkeypatch):
+@pytest.mark.parametrize("family", ["relational", "kernel", "median"],
+                         ids=["relational-indicator", "kernel-indicator", "median"])
+def test_carried_block_sums_train_as_fresh_passes_do(family, monkeypatch):
     """Forcing a fresh pass at every call (no share of moved points is small
     enough) changes nothing but the rounding of the carried sums."""
-    train = _carry_case(family, init_mode)
+    train = _carry_case(family)
     carried = train()
     monkeypatch.setattr("dksom.relsom.CARRY_MOVED_SHARE", 0.0)
     fresh = train()
@@ -510,7 +494,7 @@ def test_carried_block_sums_train_as_fresh_passes_do(family, init_mode, monkeypa
 
 @pytest.mark.parametrize("family", ["relational", "kernel", "median"])
 def test_late_iterations_update_the_block_sums_by_their_moved_rows(family):
-    res = _carry_case(family, "indicator")()
+    res = _carry_case(family)()
     iterations = len(res.energy_trace)
     passes = res.block_sum_passes
     assert passes["fresh"] < iterations

@@ -11,7 +11,6 @@ from dksom.stmp import (
     PowerIterationError,
     _entropy,
     critical_beta,
-    default_annealing,
     mean_field,
     mixing_coefficients,
     power_iteration,
@@ -155,6 +154,9 @@ def test_annealing_schedule_validation():
         AnnealingSchedule(0.1, 1.0, 10.0)
     with pytest.raises(ValueError):
         AnnealingSchedule(-0.1, 1.5, 10.0)
+    for half in ({"beta0": 0.1}, {"beta_max": 10.0}):
+        with pytest.raises(ValueError, match="must be set together"):
+            AnnealingSchedule(**half)
 
 
 def test_annealing_schedule_rejects_infinite_beta_max():
@@ -165,9 +167,12 @@ def test_annealing_schedule_rejects_infinite_beta_max():
 
 def test_default_annealing_brackets_critical_beta():
     d, _ = two_blob_dissimilarity()
-    sched = default_annealing(d)
+    betas = train_stmp(d, Lattice(1, 2, "rectangular"), sigma=0.5).trace[:, 0]
     bc = critical_beta(d)
-    assert sched.beta0 < bc < sched.beta_max
+    assert betas[0] == 0.5 * bc
+    assert betas[0] < bc < betas[-1] <= 1e4 * bc * (1.0 + 1e-12)
+    assert betas[-1] * 1.1 > 1e4 * bc * (1.0 + 1e-12)
+
 
 
 def test_train_stmp_stochasticity_and_trace():
