@@ -277,7 +277,9 @@ def cmd_train(args) -> int:
         if cfg[required] is None:
             raise ValueError(f"missing required setting {required!r}")
 
+    t0 = time.perf_counter_ns()
     data = _load_input(cfg["input"], cfg["input_kind"])
+    load_ns = time.perf_counter_ns() - t0
     lattice = Lattice(cfg["rows"], cfg["cols"], cfg["topology"])
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -292,6 +294,7 @@ def cmd_train(args) -> int:
         "ignored_settings": _ignored_settings(cfg),
         "n": data.n,
         "k_units": lattice.n_units,
+        "load_ns": load_ns,
         "wall_ns": wall_ns,
         **run.fields,
         "iterations_executed": len(run.criterion_trace),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -225,14 +226,63 @@ def _parse_csv_rows(path) -> list[list[float]]:
     return rows
 
 
-def load_matrix(path, kind: str) -> DissimilarityMatrix | KernelMatrix:
-    """Load a square matrix CSV and validate it as the requested kind.
+def _read_npy(path) -> np.ndarray:
+    with open(path, "rb") as fh:
+        try:
+            arr = np.load(fh, allow_pickle=False)
+        except (EOFError, ValueError, MemoryError) as exc:  # empty, truncated, pickled, oversized
+            raise MatrixFormatError(f"{path}: not a readable .npy array: {exc}") from None
+    if not isinstance(arr, np.ndarray):  # an .npz archive
+        raise MatrixFormatError(f"{path}: not a .npy array")
+    if arr.dtype.kind not in "iuf" or arr.ndim not in (1, 2) or arr.size == 0:
+        raise MatrixFormatError(f"{path}: expected a non-empty 1-D or 2-D array of real numbers,"
+                                f" got {arr.dtype} of shape {arr.shape}")
+    return np.ascontiguousarray(arr.reshape(arr.shape[0], -1), dtype=float)
 
-    The file holds N rows x N columns of comma-separated reals, optionally
-    preceded by one '#'-prefixed header line.
+
+# where np.loadtxt and _parse_csv_rows can read a line differently: csv
+# unquotes (a quoted header field may span lines), and np.loadtxt strips
+# \x1c-\x1f around a number where float() refuses them
+_CSV_ONLY = '"\x1c\x1d\x1e\x1f'
+
+
+def _numeric_lines(fh):
+    """The lines of fh after the optional header line, as _parse_csv_rows
+    reads them; raises ValueError on a line holding a character of _CSV_ONLY."""
+    for ln, line in enumerate(fh, start=1):
+        if any(c in line for c in _CSV_ONLY):
+            raise ValueError(f"line {ln} needs the csv reader")
+        if ln == 1 and line.lstrip().startswith("#"):
+            continue
+        yield line
+
+
+def _read_csv(path) -> np.ndarray | None:
+    """The CSV parsed by NumPy's C reader, or None where _parse_csv_rows must decide.
+
+    np.loadtxt refuses what _parse_csv_rows refuses, and also some text that
+    float() accepts: quoted fields, whitespace-only lines, '1_0', non-ASCII
+    digits. Where it accepts, it rounds as float() does, so the array is the
+    same bit for bit.
     """
-    rows = _parse_csv_rows(path)
-    arr = np.asarray(rows, dtype=float)
+    with open(path, newline="") as fh:  # opened as _parse_csv_rows opens it
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty file warns and gives size 0
+                arr = np.loadtxt(_numeric_lines(fh), delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # a UnicodeDecodeError too
+            return None
+    return arr if arr.size else None
+
+
+def load_matrix(path, kind: str) -> DissimilarityMatrix | KernelMatrix:
+    """Load a square matrix and validate it as the requested kind.
+
+    A `.npy` file holds a 2-D array of integers or reals. Any other file is
+    CSV: N rows x N columns of comma-separated reals, optionally preceded by
+    one '#'-prefixed header line.
+    """
+    arr = load_array(path)
     if arr.shape[0] != arr.shape[1]:
         raise MatrixFormatError(
             f"{path}: non-square matrix ({arr.shape[0]} rows x {arr.shape[1]} columns)"
@@ -245,13 +295,28 @@ def load_matrix(path, kind: str) -> DissimilarityMatrix | KernelMatrix:
 
 
 def load_vectors(path) -> VectorDataset:
-    """Load an N x p vector dataset CSV (no header)."""
-    return VectorDataset.from_array(np.asarray(_parse_csv_rows(path), dtype=float))
+    """Load an N x p vector dataset: a `.npy` array, or CSV with an optional
+    '#' header line."""
+    return VectorDataset.from_array(load_array(path))
 
 
 def load_array(path) -> np.ndarray:
-    """Load any rectangular numeric CSV (prototype files, weights, ...)."""
-    return np.asarray(_parse_csv_rows(path), dtype=float)
+    """Load any rectangular numeric file (inputs, prototype files, ...) as an
+    owned, C-contiguous 2-D float array.
+
+    A `.npy` suffix means a NumPy array file of integers or reals; a 1-D
+    array is read as one column, as a one-value-per-line CSV would be. Any
+    other file is CSV.
+    """
+    if Path(path).suffix == ".npy":
+        return _read_npy(path)
+    arr = _read_csv(path)
+    if arr is None:  # reparse to raise the error with its line and column, or to accept
+        try:
+            arr = np.asarray(_parse_csv_rows(path), dtype=float)
+        except csv.Error as exc:  # a field longer than csv.field_size_limit()
+            raise MatrixFormatError(f"{path}: {exc}") from None
+    return arr
 
 
 def save_matrix(values: np.ndarray, path, header: str | None = None) -> None:

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dksom import quality, relsom
+from dksom import dismat, quality, relsom
 from dksom.cli import ALGORITHMS, DEFAULTS, INPUT_KINDS, _train, main, parse_config
 from dksom.dismat import (
     VectorDataset,
@@ -544,8 +544,9 @@ def test_report_carries_write_time(fixtures, algorithm, kind):
                "--input-kind", {"vec": "vectors", "dis": "dissimilarity", "ker": "kernel"}[kind],
                "--out", str(out)])
     assert rc == 0
-    write_ns = json.loads((out / "report.json").read_text())["write_ns"]
-    assert isinstance(write_ns, int) and write_ns >= 0
+    report = json.loads((out / "report.json").read_text())
+    for key in ("load_ns", "write_ns"):
+        assert isinstance(report[key], int) and report[key] >= 0
 
 
 def test_cli_coefficients_file_is_bitwise_the_trainer_output(fixtures):
@@ -557,6 +558,204 @@ def test_cli_coefficients_file_is_bitwise_the_trainer_output(fixtures):
                                            Lattice(2, 2), Schedule(8, seed=5))
     assert load_array(out / "coefficients.csv").tobytes() == result.coefficients.tobytes()
 
+
+# (name, file bytes or None for a directory, exit codes of median, kernel-batch and
+# classic-batch, median's stderr after "error: " with {p} for the path, None where it
+# depends on the locale's encoding); the codes and messages are those of the csv-module
+# reader that parsed every CSV before NumPy's C reader took over
+_HOSTILE_CSV = [
+    ("empty", b"", (1, 1, 1), "{p}: no data rows"),
+    ("header-only", b"# a,b\n", (1, 1, 1), "{p}: no data rows"),
+    ("blank-lines", b"\n\n\n", (1, 1, 1), "{p}: no data rows"),
+    ("zeros", b"0,0\n0,0\n", (0, 0, 0), ""),
+    ("overflow", b"0,1e400\n1e400,0\n", (1, 1, 1),
+     "dissimilarity matrix contains non-finite entries"),
+    ("underflow", b"0,1e-400\n1e-400,0\n", (0, 0, 0), ""),
+    ("non-square", b"0,1,2\n1,0,3\n", (1, 1, 0), "{p}: non-square matrix (2 rows x 3 columns)"),
+    ("ragged", b"0,1\n1\n", (1, 1, 1), "{p}: line 2 has 1 columns, expected 2"),
+    ("latin1", b"0,1\n1,0\xe9\n", (1, 1, 1), None),
+    ("negative", b"0,-1\n-1,0\n", (1, 0, 0), "negative dissimilarity entry -1.0 at (0, 1)"),
+    ("asymmetric", b"0,1\n2,0\n", (1, 1, 0),
+     "dissimilarity matrix asymmetry 1.000e+00 exceeds tolerance 1e-09"),
+    ("nan", b"0,nan\nnan,0\n", (1, 1, 1), "dissimilarity matrix contains non-finite entries"),
+    ("bom", b"\xef\xbb\xbf0,1\n1,0\n", (1, 1, 1),
+     "{p}: non-numeric value '\\ufeff0' at line 1, column 1"),
+    ("bom-header", b"\xef\xbb\xbf# h\n0,1\n1,0\n", (1, 1, 1),
+     "{p}: non-numeric value '\\ufeff# h' at line 1, column 1"),
+    ("crlf", b"0,1\r\n1,0\r\n", (0, 1, 0), ""),
+    ("cr", b"0,1\r1,0\r", (0, 1, 0), ""),
+    ("semicolon", b"0;1\n1;0\n", (1, 1, 1), "{p}: non-numeric value '0;1' at line 1, column 1"),
+    ("hash-inline", b"1,2#x\n2,1\n", (1, 1, 1), "{p}: non-numeric value '2#x' at line 1, column 2"),
+    ("underscore", b"0,1_0\n1_0,0\n", (0, 1, 0), ""),
+    ("quoted", b'"0","1"\n"1","0"\n', (0, 1, 0), ""),
+    ("ws-line", b"0,1\n   \n1,0\n", (0, 1, 0), ""),
+    ("fullwidth", b"\xef\xbc\x90,\xef\xbc\x91\n\xef\xbc\x91,\xef\xbc\x90\n", (0, 1, 0), ""),
+    ("header-ws", b"   # h\n0,1\n1,0\n", (0, 1, 0), ""),
+    ("header-line2", b"\n# h\n0,1\n1,0\n", (1, 1, 1),
+     "{p}: non-numeric value '# h' at line 2, column 1"),
+    ("trailing-comma", b"0,1,\n1,0,\n", (1, 1, 1), "{p}: non-numeric value '' at line 1, column 3"),
+    ("empty-field", b"0,,1\n1,0,1\n1,1,0\n", (1, 1, 1),
+     "{p}: non-numeric value '' at line 1, column 2"),
+    ("comma-line", b"0,1\n,\n1,0\n", (1, 1, 1), "{p}: non-numeric value '' at line 2, column 1"),
+    ("spaces", b" 0 , 1 \n 1 ,\t0\n", (0, 1, 0), ""),
+    ("inner-space", b"0,1 2\n1 2,0\n", (1, 1, 1),
+     "{p}: non-numeric value '1 2' at line 1, column 2"),
+    ("tab-sep", b"0\t1\n1\t0\n", (1, 1, 1), "{p}: non-numeric value '0\\t1' at line 1, column 1"),
+    ("hex", b"0,0x1\n0x1,0\n", (1, 1, 1), "{p}: non-numeric value '0x1' at line 1, column 2"),
+    ("inf", b"0,inf\ninf,0\n", (1, 1, 1), "dissimilarity matrix contains non-finite entries"),
+    ("plus", b"+0,+1\n+1,+0\n", (0, 1, 0), ""),
+    ("one", b"0\n", (0, 1, 1), ""),
+    ("one-row", b"0,1\n", (1, 1, 1), "{p}: non-square matrix (1 rows x 2 columns)"),
+    ("column", b"0\n1\n", (1, 1, 0), "{p}: non-square matrix (2 rows x 1 columns)"),
+    ("nul", b"0,1\x00\n1,0\n", (1, 1, 1), "{p}: non-numeric value '1\\x00' at line 1, column 2"),
+    ("vt", b"0,\x0b1\n1,0\n", (0, 1, 0), ""),
+    ("fs", b"0,\x1c1\n1,0\n", (1, 1, 1), "{p}: non-numeric value '1' at line 1, column 2"),
+    ("nbsp", b"0,\xc2\xa01\n1,0\n", (0, 1, 0), ""),
+    ("no-final-newline", b"0,1\n1,0", (0, 1, 0), ""),
+    ("header-then-blank", b"# h\n\n0,1\n1,0\n", (0, 1, 0), ""),
+    ("hash-line3", b"0,1\n1,0\n# end\n", (1, 1, 1),
+     "{p}: non-numeric value '# end' at line 3, column 1"),
+    ("d-exponent", b"0,1d0\n1d0,0\n", (1, 1, 1),
+     "{p}: non-numeric value '1d0' at line 1, column 2"),
+    ("dot", b"0,.\n.,0\n", (1, 1, 1), "{p}: non-numeric value '.' at line 1, column 2"),
+    ("infinity", b"0,Infinity\nInfinity,0\n", (1, 1, 1),
+     "dissimilarity matrix contains non-finite entries"),
+    ("nan-paren", b"0,nan(1)\nnan(1),0\n", (1, 1, 1),
+     "{p}: non-numeric value 'nan(1)' at line 1, column 2"),
+    ("complex", b"0,1j\n1j,0\n", (1, 1, 1), "{p}: non-numeric value '1j' at line 1, column 2"),
+    ("header-open-quote", b'#h,"a\n0,1\n1,0\n', (1, 1, 1), "{p}: no data rows"),
+    ("directory", None, (1, 1, 1), "[Errno 21] Is a directory: '{p}'"),
+]
+_RUN_DETAILS = ("config", "artifacts", "load_ns", "wall_ns", "write_ns", "phase_timing_ns")
+
+
+def _outputs(out):
+    """Every file a run wrote, report.json without paths and timings."""
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    report = json.loads(files.pop("report.json"))
+    return files, {key: value for key, value in report.items() if key not in _RUN_DETAILS}
+
+
+def _train_tiny(path, algorithm, kind, out):
+    return main(["train", "--algorithm", algorithm, "--input", str(path), "--input-kind", kind,
+                 "--out", str(out), "--rows", "1", "--cols", "2", "--t-max", "2"])
+
+
+@pytest.mark.parametrize("algorithm, kind, column", [
+    ("median", "dissimilarity", 0), ("kernel-batch", "kernel", 1), ("classic-batch", "vectors", 2),
+])
+@pytest.mark.parametrize("name, content, codes, message", _HOSTILE_CSV,
+                         ids=[case[0] for case in _HOSTILE_CSV])
+def test_hostile_csv_exits_as_the_csv_module_reader(tmp_path, capsys, monkeypatch, algorithm,
+                                                    kind, column, name, content, codes, message):
+    path = tmp_path / f"{name}.csv"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code = _train_tiny(path, algorithm, kind, tmp_path / "numpy")
+    err = capsys.readouterr().err
+    assert code == codes[column]
+    if algorithm == "median" and message is not None:
+        assert err == ("error: " + message.format(p=path) + "\n" if message else "")
+    monkeypatch.setattr(dismat, "load_array",
+                        lambda p: np.asarray(dismat._parse_csv_rows(p), dtype=float))
+    assert _train_tiny(path, algorithm, kind, tmp_path / "csv-module") == code
+    assert capsys.readouterr().err == err
+    if code == 0:
+        assert _outputs(tmp_path / "numpy") == _outputs(tmp_path / "csv-module")
+
+
+def _npy_inputs(tmp_path, layout):
+    """kind -> (CSV file from save_matrix, .npy file in the given layout) of the
+    same points, their L1 dissimilarity and their linear kernel."""
+    x = np.random.default_rng(31).integers(-9, 10, size=(24, 3))
+    values = {"vectors": x, "dissimilarity": np.abs(x[:, None, :] - x[None, :, :]).sum(axis=2),
+              "kernel": x @ x.T}
+    files = {}
+    for kind, v in values.items():
+        if layout == ">f8":
+            v = (v / 7.0).astype(">f8")
+        elif layout == "fortran":
+            v = np.asfortranarray(v / 7.0)
+        save_matrix(v, tmp_path / f"{kind}.csv")
+        np.save(tmp_path / f"{kind}.npy", v)
+        files[kind] = (tmp_path / f"{kind}.csv", tmp_path / f"{kind}.npy")
+    return files
+
+
+@pytest.mark.parametrize("layout", ["int64", ">f8", "fortran"])
+@pytest.mark.parametrize("algorithm, kind", [
+    ("median", "dissimilarity"), ("relational-batch", "dissimilarity"), ("stmp", "dissimilarity"),
+    ("kernel-online", "kernel"), ("classic-batch", "vectors"),
+])
+def test_npy_input_trains_as_its_csv(tmp_path, capsys, layout, algorithm, kind):
+    paths = _npy_inputs(tmp_path, layout)[kind]
+    stored = np.load(paths[1])
+    assert stored.dtype == {"int64": np.int64, ">f8": ">f8", "fortran": float}[layout]
+    assert stored.flags.c_contiguous == (layout != "fortran")
+    outputs, reports = [], []
+    for path in paths:
+        out = tmp_path / path.suffix[1:]
+        assert main(["train", "--algorithm", algorithm, "--input", str(path), "--input-kind", kind,
+                     "--out", str(out), "--rows", "2", "--cols", "3", "--t-max", "5"]) == 0
+        outputs.append(_outputs(out))
+        assert main(["validate", "--input", str(path), "--kind", kind]) == 0
+        reports.append(capsys.readouterr().out.split("\n", 1)[1])  # after the "wrote" line
+    assert outputs[0] == outputs[1]
+    assert reports[0] == reports[1]
+
+
+def test_one_dimensional_npy_vectors_are_one_column(tmp_path):
+    x = np.random.default_rng(32).normal(size=9)
+    np.save(tmp_path / "x.npy", x)
+    save_matrix(x[:, None], tmp_path / "x.csv")
+    npy, csv = load_vectors(tmp_path / "x.npy").points, load_vectors(tmp_path / "x.csv").points
+    assert npy.shape == csv.shape == (9, 1) and npy.tobytes() == csv.tobytes() == x.tobytes()
+
+
+def _bad_npy_files(tmp_path):
+    """name -> a .npy path that no loader may accept."""
+    def saved(name, values, **kwargs):
+        np.save(tmp_path / f"{name}.npy", values, **kwargs)
+        return tmp_path / f"{name}.npy"
+
+    whole = saved("whole", np.eye(4)).read_bytes()
+    oversized = saved("oversized", np.zeros(1))
+    with open(oversized, "r+b") as fh:  # a header that claims 10**14 doubles
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": "<f8", "fortran_order": False, "shape": (10**7, 10**7)})
+    files = {
+        "object": saved("object", np.array([[None, 1]], dtype=object), allow_pickle=True),
+        "complex": saved("complex", np.eye(2) + 1j),
+        "3-d": saved("3-d", np.zeros((2, 2, 2))),
+        "0-d": saved("0-d", np.array(1.0)),
+        "bool": saved("bool", np.eye(2, dtype=bool)),
+        "string": saved("string", np.array([["0", "1"], ["1", "0"]])),
+        "no-values": saved("no-values", np.zeros((0, 0))),
+        "oversized": oversized,
+    }
+    for name, data in (("empty", b""), ("truncated", whole[:-5]), ("header-only", whole[:40]),
+                       ("csv-text", b"0,1\n1,0\n")):
+        (tmp_path / f"{name}.npy").write_bytes(data)
+        files[name] = tmp_path / f"{name}.npy"
+    np.savez(tmp_path / "archive.npz", np.eye(2))
+    files["npz"] = (tmp_path / "archive.npz").rename(tmp_path / "npz.npy")
+    return files
+
+
+@pytest.mark.parametrize("name", ["empty", "truncated", "header-only", "csv-text", "object",
+                                  "complex", "3-d", "0-d", "bool", "string", "no-values",
+                                  "oversized", "npz"])
+@pytest.mark.parametrize("command", ["train", "validate"])
+def test_unreadable_npy_input_exits_1(tmp_path, capsys, command, name):
+    path = _bad_npy_files(tmp_path)[name]
+    if command == "train":
+        code = _train_tiny(path, "median", "dissimilarity", tmp_path / "out")
+    else:
+        code = main(["validate", "--input", str(path), "--kind", "vectors"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 def _write_inputs(directory, x):
     """Vector, squared-distance and linear-kernel files for points x."""

@@ -1,3 +1,6 @@
+import csv
+import functools
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,8 @@ from dksom.dismat import (
     MatrixFormatError,
     MatrixValidationError,
     VectorDataset,
+    _parse_csv_rows,
+    _read_csv,
     kernel_to_dissimilarity,
     load_array,
     load_matrix,
@@ -184,6 +189,43 @@ def test_load_save_load_is_bitwise(tmp_path, header):
     save_matrix(loaded, second, header)
     assert load_array(second).tobytes() == loaded.tobytes() == values.tobytes()
     assert second.read_bytes() == first.read_bytes()
+
+
+def _csv_parity_writers():
+    """name -> a function that writes a CSV which NumPy's reader must parse
+    as _parse_csv_rows does: save_matrix output of every non-empty, NaN-free
+    writer input, and random doubles of many magnitudes as printf text."""
+    rng = np.random.default_rng(15)
+    doubles = rng.standard_normal((40, 30)) * 10.0 ** rng.uniform(-300, 300, (40, 30))
+    writers = {f"random {fmt}": functools.partial(np.savetxt, X=doubles, fmt=fmt, delimiter=",")
+               for fmt in ("%.17g", "%.3e")}
+    inputs = dict(_writer_inputs(), **{"edges-without-nan": _EDGES[:, [0, 1, 3, 4]]})
+    for name, values in inputs.items():
+        if values.size and not np.isnan(values).any():
+            for header in (None, "a,b"):
+                writers[f"save_matrix {name} header={header}"] = functools.partial(
+                    save_matrix, values, header=header)
+    return writers
+
+
+@pytest.mark.parametrize("name", list(_csv_parity_writers()))
+def test_numpy_csv_reader_is_bitwise_the_csv_module(tmp_path, name):
+    path = tmp_path / "m.csv"
+    _csv_parity_writers()[name](path)
+    reference = np.asarray(_parse_csv_rows(path), dtype=float)
+    assert _read_csv(path) is not None  # read by NumPy, not by the fallback
+    loaded = load_array(path)
+    assert loaded.shape == reference.shape and loaded.tobytes() == reference.tobytes()
+
+
+def test_csv_field_beyond_the_csv_module_limit(tmp_path):
+    path = tmp_path / "long.csv"
+    zeros = "0" * csv.field_size_limit()
+    path.write_text(f"{zeros}1,2\n")
+    assert load_array(path).tolist() == [[1.0, 2.0]]
+    path.write_text(f"{zeros}x,2\n")
+    with pytest.raises(MatrixFormatError, match="field larger than field limit"):
+        load_array(path)
 
 
 def test_csv_header_and_blank_lines(tmp_path):
