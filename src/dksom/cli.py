@@ -237,7 +237,10 @@ def _train(cfg, data, kind, lattice) -> _Run:
         files = {"gamma": ("gamma.csv", result.gamma),
                  "trace": ("trace.csv", result.trace, ",".join(stmp.TRACE_COLUMNS)),
                  "prototypes": ("coefficients.csv", protos)}
-        fields = {"outer_steps": result.trace.shape[0], "entropy_trace": result.trace[:, 3]}
+        inner, delta = result.trace[:, 1], result.trace[:, 2]
+        fields = {"outer_steps": result.trace.shape[0], "entropy_trace": result.trace[:, 3],
+                  "mean_field_products": int(inner.sum()),
+                  "inner_cap_hits": int(np.count_nonzero(delta >= annealing.inner_tol))}
         return _Run(result, dm, protos, files, fields, result.trace[:, 2])  # max |delta e|
 
     init = {"init_mode": cfg["init_mode"]} if online else {}  # batch starts on data points

@@ -212,7 +212,7 @@ def _parse_csv_rows(path) -> list[list[float]]:
                     parsed.append(float(tok))
                 except ValueError:
                     raise MatrixFormatError(
-                        f"{path}: non-numeric value {tok.strip()!r} at line {ln}, column {col}"
+                        f"{path}: non-numeric value {tok!r} at line {ln}, column {col}"
                     ) from None
             if width is None:
                 width = len(parsed)

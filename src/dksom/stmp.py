@@ -9,9 +9,12 @@ fixed for the whole run. One outer step at inverse temperature beta iterates
     b      = column-normalized gamma @ h   (N x K mixing coefficients)
     e_ik   = sum_s h_ks * r(i, b_.s)       r = relational point-to-coefficient distance
 
-until e stabilizes, then beta grows geometrically. Below the critical
-inverse temperature 1/lambda_max(D) the uniform solution is stable and no
-structure emerges; annealing past it breaks the symmetry.
+until e stabilizes, then beta grows geometrically. The uniform solution is
+stable until beta reaches the neighborhood-aware critical scale
+symmetry_breaking_beta (Graepel & Obermayer, Neural Computation 11, 1999),
+where the map's first structure forms; annealing past it breaks the symmetry.
+critical_beta = 1/lambda_max(D) lies well below it and only sets the scale
+of the default beta range.
 """
 
 from __future__ import annotations
@@ -28,6 +31,11 @@ TRACE_COLUMNS = ("beta", "inner_iterations", "max_delta_e", "entropy")
 
 _INIT_NOISE = 1e-3  # amplitude of the seeded mean-field initialization
 _POWER_SEED = 0x5EED  # fixed: critical_beta must be deterministic
+_START_TOL = 1e-6  # symmetry_breaking_beta places the start; a few digits suffice
+# the step extrapolation fires on a ratio in (_RATIO_FLOOR, 1) that agrees with
+# the previous ratio within _RATIO_AGREEMENT, relative; looser gates changed
+# the annealing branch on the benchmark inputs
+_RATIO_FLOOR, _RATIO_AGREEMENT = 0.5, 0.02
 
 
 class PowerIterationError(RuntimeError, ValueError):
@@ -37,7 +45,7 @@ class PowerIterationError(RuntimeError, ValueError):
 
 @dataclass(frozen=True)
 class AnnealingSchedule:
-    beta0: float | None = None  # with beta_max None: 0.5 to 1e4 critical_beta(D), in train_stmp
+    beta0: float | None = None  # with beta_max None: resolved on the matrix in train_stmp
     beta_factor: float = 1.1
     beta_max: float | None = None
     inner_tol: float = 1e-6
@@ -73,8 +81,11 @@ class STMPResult:
     final_sigma: float  # the fixed neighborhood radius
 
 
-def power_iteration(values: np.ndarray, tol: float = 1e-8, max_iters: int = 10_000) -> float:
-    """Dominant eigenvalue magnitude of a symmetric matrix.
+def power_iteration(values: np.ndarray, tol: float = 1e-8, max_iters: int = 10_000,
+                    centred: bool = False) -> float:
+    """Dominant eigenvalue magnitude of a symmetric matrix, or with centred=True
+    of its double centring -1/2 J D J (J = I - 11^T/n), applied as
+    -1/2 J (D (J x)) without forming it.
 
     Subspace iteration on two vectors with a Rayleigh-Ritz step on the 2 x 2
     projection: a +lambda/-lambda pair (common for zero-diagonal
@@ -87,13 +98,18 @@ def power_iteration(values: np.ndarray, tol: float = 1e-8, max_iters: int = 10_0
     eigenvalue within tol * |theta| of theta.
     """
     n = values.shape[0]
-    shrink = -n.bit_length()
+    shrink = -n.bit_length() - 2  # centring can double |x| and then |D x|
     x = np.linalg.qr(np.random.default_rng(_POWER_SEED).standard_normal((n, 2)))[0]
     for _ in range(max_iters):
-        y = values @ np.ldexp(x, shrink)
+        x_in = np.ldexp(x, shrink)
+        if centred:
+            x_in -= x_in.mean(axis=0)
+        y = values @ x_in
+        if centred:
+            y = -0.5 * (y - y.mean(axis=0))
         top = float(np.max(np.abs(y)))
         if top == 0.0:
-            return 0.0  # D annihilates a random block: the zero matrix
+            return 0.0  # the operator annihilates a random block: the zero matrix
         exp = math.frexp(top)[1]
         y = np.ldexp(y, -exp)
         theta, v = np.linalg.eigh(x.T @ y)
@@ -111,6 +127,28 @@ def critical_beta(dismatrix) -> float:
     if lam == 0.0:
         raise ValueError("dissimilarity matrix is numerically zero; no critical scale")
     return 1.0 / lam
+
+
+def symmetry_breaking_beta(d_values: np.ndarray, h: np.ndarray) -> float:
+    """N rho_h / (2 lambda_1 lambda_h^2): where the uniform mean-field solution
+    turns linearly unstable, or inf where nothing breaks it (N = 1, K = 1).
+
+    Linearized at gamma = 1/K, one mean-field step maps a perturbation of e
+    through the double-centred D, lambda_1 = lambda_max(-1/2 J D J), and
+    twice through the unit-centred neighborhood, lambda_h = lambda_max(J h J);
+    rho_h is the mean row sum of h. Where -1/2 J D J has a larger negative
+    eigenvalue (non-Euclidean D), its magnitude stands in for lambda_1, which
+    only moves the estimate earlier.
+    """
+    k = h.shape[0]
+    centred_h = h - h.mean(axis=0)
+    centred_h -= centred_h.mean(axis=1, keepdims=True)
+    lam_h = float(np.max(np.abs(np.linalg.eigvalsh(centred_h))))
+    gain = 2.0 * lam_h * lam_h / (d_values.shape[0] * h.sum() / k)  # per unit of lambda_1
+    if gain == 0.0:
+        return math.inf
+    slope = gain * power_iteration(d_values, tol=_START_TOL, centred=True)
+    return 1.0 / slope if slope > 0.0 else math.inf
 
 
 def soft_update(e: np.ndarray, beta: float) -> np.ndarray:
@@ -154,6 +192,39 @@ def _entropy(gamma: np.ndarray) -> float:
         return float(-np.sum(np.where(gamma > 0.0, gamma * np.log(gamma), 0.0)))
 
 
+def settle(d_values: np.ndarray, h: np.ndarray, e: np.ndarray, beta: float, tol: float,
+           max_iters: int) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Iterate the mean field F at one beta from e until max|F(e) - e| < tol or
+    max_iters products; returns (e, gamma, products, last max|F(e) - e|).
+
+    Near a phase transition the fixed-point iteration contracts by 0.9 or
+    more per product, almost all of it along one slow mode. While two
+    successive steps r_{k-1}, r_k shrink by a steady ratio rho (the projected
+    ratio <r_k, r_{k-1}> / ||r_{k-1}||^2 agrees with the previous one), the
+    rest of the geometric series, r_k rho / (1 - rho), is added in one jump.
+    Only a real product decides convergence, and the last product is never
+    followed by a jump, so e always ends as F of the previous iterate.
+    """
+    gamma, delta, iters = None, math.inf, 0
+    step = ratio = None
+    for iters in range(1, max_iters + 1):
+        gamma = soft_update(e, beta)
+        e_new = mean_field(d_values, mixing_coefficients(gamma, h), h)
+        prev_step, step = step, e_new - e
+        e = e_new
+        delta = float(np.max(np.abs(step)))
+        if delta < tol:
+            break
+        if prev_step is None:
+            continue
+        last_ratio, ratio = ratio, float(np.vdot(step, prev_step) / np.vdot(prev_step, prev_step))
+        if (iters < max_iters and last_ratio is not None and _RATIO_FLOOR < ratio < 1.0
+                and abs(ratio - last_ratio) <= _RATIO_AGREEMENT * last_ratio):
+            e = e + step * (ratio / (1.0 - ratio))
+            step = ratio = None  # the jump ends this geometric run
+    return e, gamma, iters, delta
+
+
 def train_stmp(
     dismatrix,
     lattice: Lattice,
@@ -163,17 +234,28 @@ def train_stmp(
 ) -> STMPResult:
     """Anneal the mean-field fixed point from beta0 up to beta_max.
 
+    Without a beta range the grid is 0.5 * critical_beta(D) * beta_factor^j up
+    to 1e4 * critical_beta(D), and annealing starts at its last point at or
+    below half of symmetry_breaking_beta: the steps before it would only
+    settle the uniform solution. Where that scale is not finite, positive and
+    below the range's end, annealing starts at the grid's first point.
+
     The mean field starts as seeded uniform noise in [0, 1e-3); the noise is
     what lets symmetry break deterministically once beta passes the critical
     scale. Crisp assignments are the per-row argmax of the final memberships
     (ties to the smallest unit index).
     """
-    if annealing.beta0 is None:
-        bc = critical_beta(dismatrix)
-        annealing = replace(annealing, beta0=0.5 * bc, beta_max=1e4 * bc)
     d = dismatrix.values
     n, k = d.shape[0], lattice.n_units
     h = lattice.neighborhood(sigma)
+    if annealing.beta0 is None:
+        bc = critical_beta(dismatrix)
+        beta0, beta_max = 0.5 * bc, 1e4 * bc
+        start = 0.5 * symmetry_breaking_beta(d, h)
+        if 0.0 < start < 0.5 * beta_max:
+            while beta0 * annealing.beta_factor <= start:
+                beta0 *= annealing.beta_factor  # walk the grid, so its points keep their bits
+        annealing = replace(annealing, beta0=beta0, beta_max=beta_max)
     rng = np.random.default_rng(seed)
     e = rng.uniform(0.0, _INIT_NOISE, size=(n, k))
 
@@ -181,17 +263,8 @@ def train_stmp(
     beta = annealing.beta0
     last_beta = beta
     while beta <= annealing.beta_max * (1.0 + 1e-12):
-        gamma = None
-        delta = np.inf
-        iters = 0
-        for iters in range(1, annealing.inner_max_iters + 1):
-            gamma = soft_update(e, beta)
-            b = mixing_coefficients(gamma, h)
-            e_new = mean_field(d, b, h)
-            delta = float(np.max(np.abs(e_new - e)))
-            e = e_new
-            if delta < annealing.inner_tol:
-                break
+        e, gamma, iters, delta = settle(d, h, e, beta, annealing.inner_tol,
+                                        annealing.inner_max_iters)
         trace.append((beta, iters, delta, _entropy(gamma)))
         last_beta = beta
         beta *= annealing.beta_factor

@@ -38,7 +38,16 @@ from .relsom import (
     train_batch_kernel,
     train_batch_relational,
 )
-from .stmp import AnnealingSchedule, critical_beta, mean_field, soft_update, train_stmp
+from .stmp import (
+    AnnealingSchedule,
+    critical_beta,
+    mean_field,
+    mixing_coefficients,
+    settle,
+    soft_update,
+    symmetry_breaking_beta,
+    train_stmp,
+)
 
 # a dissimilarity that is symmetric, nonnegative, zero-diagonal, but breaks
 # the triangle inequality badly enough to flip the pairwise/medoid bound:
@@ -52,6 +61,8 @@ KH_CONFIGS = 1000  # weighted point sets of the variance identity
 TRIANGLE_WEIGHTS, TRIANGLE_POINTS = 1000, 30  # weight vectors on one tree metric of this size
 PSD_OVERSAMPLE = 10  # random_psd_kernel draws n + PSD_OVERSAMPLE features per point
 BLOB_SEPARATION, BLOB_SEED = 6.0, 7  # two_blob_dissimilarity's cluster offset and draw
+SYMMETRIC_ENTROPY = 0.99  # share of N ln K the first default STMP step keeps
+PAST_TRANSITION = 1.2  # fixed beta of the extrapolation check, in symmetry_breaking_beta
 
 
 def tree_metric(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -78,6 +89,18 @@ def two_blob_dissimilarity(n: int = 60) -> tuple[DissimilarityMatrix, np.ndarray
     points = rng.standard_normal((n, 2)) * 0.5
     points[labels == 1, 0] += BLOB_SEPARATION
     return squared_euclidean(VectorDataset.from_array(points)), labels
+
+
+def plain_fixed_point(d_values, h, e, beta, tol, max_iters):
+    """The mean-field fixed point by plain iteration, without settle's
+    extrapolation: (e, products)."""
+    for products in range(1, max_iters + 1):
+        e_new = mean_field(d_values, mixing_coefficients(soft_update(e, beta), h), h)
+        done = float(np.max(np.abs(e_new - e))) < tol
+        e = e_new
+        if done:
+            break
+    return e, products
 
 
 def suite_equivalence():
@@ -154,6 +177,24 @@ def suite_stmp_limit():
     dev = float(np.max(np.abs(res.gamma - 0.5)))
     yield ("no symmetry breaking below critical beta", dev < 1e-3,
            f"beta = 0.1/lambda_max, max |gamma - 1/K| = {dev:.2e}")
+
+    n = dm.values.shape[0]
+    first = train_stmp(dm, lattice, sigma=0.5, seed=SEEDS["stmp-limit"]).trace[0]
+    share = first[3] / (n * np.log(lattice.n_units))
+    yield ("default annealing starts in the symmetric phase", share >= SYMMETRIC_ENTROPY,
+           f"first beta = {first[0] / bc:.1f}/lambda_max, entropy {share:.5f} of N ln K")
+
+    h = lattice.neighborhood(0.5)
+    beta = PAST_TRANSITION * symmetry_breaking_beta(dm.values, h)
+    e0 = np.random.default_rng(SEEDS["stmp-limit"]).uniform(0.0, 1e-3, (n, lattice.n_units))
+    tol, cap = AnnealingSchedule.inner_tol, AnnealingSchedule.inner_max_iters
+    fast, _, fast_products, _ = settle(dm.values, h, e0, beta, tol, cap)
+    plain, plain_products = plain_fixed_point(dm.values, h, e0, beta, tol, cap)
+    gap = float(np.max(np.abs(fast - plain)))
+    yield ("extrapolated mean field ends at the plain fixed point",
+           gap < 10.0 * tol and fast_products <= plain_products,
+           f"beta = {PAST_TRANSITION} x symmetry-breaking scale, max gap {gap:.2e} "
+           f"(tol {10.0 * tol:g}), {fast_products} vs {plain_products} products")
 
     rng = np.random.default_rng(SEEDS["stmp-limit"])
     n, k = 80, 9

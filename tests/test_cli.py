@@ -223,6 +223,22 @@ def test_train_stmp_writes_gamma_and_trace(fixtures):
     assert np.max(np.abs(gamma.sum(axis=1) - 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("cap", ["3", "500"])
+def test_stmp_report_counts_products_and_cap_hits_from_the_trace(fixtures, cap):
+    out = fixtures["tmp"] / f"run-stmp-{cap}"
+    assert main(["train", "--algorithm", "stmp", "--input", str(fixtures["dis"]),
+                 "--input-kind", "dissimilarity", "--out", str(out), "--rows", "2",
+                 "--cols", "2", "--inner-max-iters", cap]) == 0
+    report = json.loads((out / "report.json").read_text())
+    trace = np.loadtxt(out / "trace.csv", delimiter=",", ndmin=2)
+    inner, delta = trace[:, 1], trace[:, 2]  # inner_iterations, max_delta_e
+    assert report["mean_field_products"] == int(inner.sum())
+    unconverged = np.count_nonzero(delta >= report["config"]["inner_tol"])
+    assert report["inner_cap_hits"] == unconverged
+    assert np.all(inner[delta >= report["config"]["inner_tol"]] == int(cap))
+    assert (report["inner_cap_hits"] > 0) == (cap == "3")
+
+
 def test_train_classic_batch_on_vectors(fixtures):
     out = fixtures["tmp"] / "run-classic"
     rc = main(["train", "--config", str(fixtures["cfg"]), "--algorithm", "classic-batch",
@@ -609,7 +625,7 @@ _HOSTILE_CSV = [
     ("column", b"0\n1\n", (1, 1, 0), "{p}: non-square matrix (2 rows x 1 columns)"),
     ("nul", b"0,1\x00\n1,0\n", (1, 1, 1), "{p}: non-numeric value '1\\x00' at line 1, column 2"),
     ("vt", b"0,\x0b1\n1,0\n", (0, 1, 0), ""),
-    ("fs", b"0,\x1c1\n1,0\n", (1, 1, 1), "{p}: non-numeric value '1' at line 1, column 2"),
+    ("fs", b"0,\x1c1\n1,0\n", (1, 1, 1), "{p}: non-numeric value '\\x1c1' at line 1, column 2"),
     ("nbsp", b"0,\xc2\xa01\n1,0\n", (0, 1, 0), ""),
     ("no-final-newline", b"0,1\n1,0", (0, 1, 0), ""),
     ("header-then-blank", b"# h\n\n0,1\n1,0\n", (0, 1, 0), ""),

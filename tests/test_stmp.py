@@ -3,9 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+from dksom.bench import blob_dataset
 from dksom.cli import main
 from dksom.dismat import DissimilarityMatrix, VectorDataset, save_matrix, squared_euclidean
 from dksom.lattice import Lattice
+from dksom.nystrom import double_center
 from dksom.stmp import (
     AnnealingSchedule,
     PowerIterationError,
@@ -14,10 +16,12 @@ from dksom.stmp import (
     mean_field,
     mixing_coefficients,
     power_iteration,
+    settle,
     soft_update,
+    symmetry_breaking_beta,
     train_stmp,
 )
-from dksom.verify import two_blob_dissimilarity
+from dksom.verify import plain_fixed_point, two_blob_dissimilarity
 
 D3 = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 4.0], [9.0, 4.0, 0.0]])
 
@@ -166,13 +170,99 @@ def test_annealing_schedule_rejects_infinite_beta_max():
 
 
 def test_default_annealing_brackets_critical_beta():
+    # the default range starts on the grid 0.5 * critical_beta * 1.1^j, at its
+    # last point at or below half the symmetry-breaking scale, and ends as before
     d, _ = two_blob_dissimilarity()
-    betas = train_stmp(d, Lattice(1, 2, "rectangular"), sigma=0.5).trace[:, 0]
+    lattice = Lattice(1, 2, "rectangular")
+    betas = train_stmp(d, lattice, sigma=0.5).trace[:, 0]
     bc = critical_beta(d)
-    assert betas[0] == 0.5 * bc
-    assert betas[0] < bc < betas[-1] <= 1e4 * bc * (1.0 + 1e-12)
-    assert betas[-1] * 1.1 > 1e4 * bc * (1.0 + 1e-12)
+    grid = [0.5 * bc]
+    while grid[-1] * 1.1 <= 1e4 * bc * (1.0 + 1e-12):
+        grid.append(grid[-1] * 1.1)
+    assert np.array_equal(betas, grid[len(grid) - len(betas):])
+    start = 0.5 * symmetry_breaking_beta(d.values, lattice.neighborhood(0.5))
+    assert betas[0] <= start < betas[0] * 1.1
+    assert bc < betas[0] < 2.0 * start < betas[-1]
 
+
+def _l1_blobs(n: int) -> DissimilarityMatrix:
+    x = blob_dataset(n, seed=3).points
+    return DissimilarityMatrix.from_array(np.abs(x[:, None, :] - x[None, :, :]).sum(axis=2))
+
+
+@pytest.mark.parametrize("case", ["two-blob", "l1-blobs"])
+def test_first_default_step_is_in_the_symmetric_phase(case):
+    if case == "two-blob":
+        d, lattice, sigma = two_blob_dissimilarity()[0], Lattice(1, 2), 0.5
+    else:
+        d, lattice, sigma = _l1_blobs(200), Lattice(5, 5), 1.0
+    trace = train_stmp(d, lattice, sigma=sigma, seed=1).trace
+    n_ln_k = d.values.shape[0] * np.log(lattice.n_units)
+    assert trace[0, 3] >= 0.99 * n_ln_k
+    assert trace[-1, 3] < 0.5 * n_ln_k  # the map still orders after the later start
+
+
+def test_symmetry_breaking_beta_matches_dense_eigenvalues():
+    d = _l1_blobs(80)
+    h = Lattice(3, 4, "hexagonal").neighborhood(0.8)
+    lam = np.linalg.eigvalsh(double_center(d.values))[-1]
+    j = np.eye(12) - 1.0 / 12
+    lam_h = np.max(np.abs(np.linalg.eigvalsh(j @ h @ j)))
+    expected = 80 * h.sum(axis=1).mean() / (2.0 * lam * lam_h**2)
+    assert symmetry_breaking_beta(d.values, h) == pytest.approx(expected, rel=1e-5)
+
+
+@pytest.mark.parametrize("k", [-40, 40])
+def test_symmetry_breaking_beta_scales_inversely_with_the_matrix(k):
+    d, _ = two_blob_dissimilarity()
+    h = Lattice(2, 2).neighborhood(0.7)
+    scaled = symmetry_breaking_beta(np.ldexp(d.values, k), h)
+    assert scaled == np.ldexp(symmetry_breaking_beta(d.values, h), -k)
+
+
+def test_symmetry_breaking_beta_is_infinite_where_nothing_breaks():
+    d, _ = two_blob_dissimilarity()
+    assert symmetry_breaking_beta(d.values, Lattice(1, 1).neighborhood(1.0)) == np.inf
+    assert symmetry_breaking_beta(np.zeros((1, 1)), Lattice(2, 2).neighborhood(1.0)) == np.inf
+
+
+@pytest.mark.parametrize("lattice, sigma", [(Lattice(1, 2), 0.5), (Lattice(1, 3), 0.6)])
+def test_extrapolated_loop_ends_at_the_plain_fixed_point(lattice, sigma):
+    d, _ = two_blob_dissimilarity()
+    h = lattice.neighborhood(sigma)
+    beta = 1.2 * symmetry_breaking_beta(d.values, h)  # past the transition
+    e0 = np.random.default_rng(5).uniform(0.0, 1e-3, (60, lattice.n_units))
+    tol = 1e-6
+    fast, _, fast_products, delta = settle(d.values, h, e0, beta, tol, 500)
+    plain, plain_products = plain_fixed_point(d.values, h, e0, beta, tol, 500)
+    assert delta < tol
+    assert np.max(np.abs(fast - plain)) < 10.0 * tol
+    assert fast_products < plain_products
+
+
+def test_settle_never_ends_on_an_extrapolated_field():
+    # capped runs end on F of the previous iterate, however many products they get
+    d, _ = two_blob_dissimilarity()
+    h = Lattice(1, 3).neighborhood(0.6)
+    beta = 1.2 * symmetry_breaking_beta(d.values, h)
+    e0 = np.random.default_rng(5).uniform(0.0, 1e-3, (60, 3))
+    for cap in range(1, 60):  # uncapped, the loop jumps after products 7, 51 and 55
+        e, gamma, products, _ = settle(d.values, h, e0, beta, 1e-12, cap)
+        assert products == cap
+        np.testing.assert_array_equal(e, mean_field(d.values, mixing_coefficients(gamma, h), h))
+
+
+@pytest.mark.parametrize("case", ["k1", "n1", "constant", "scaled-up", "scaled-down"])
+def test_cli_stmp_on_degenerate_input_exits_0_or_1(tmp_path, capsys, case):
+    d = two_blob_dissimilarity()[0].values
+    grid = ["--rows", "1", "--cols", "1"] if case == "k1" else ["--rows", "2", "--cols", "2"]
+    values = {"k1": d, "n1": np.zeros((1, 1)), "constant": 1.0 - np.eye(12),
+              "scaled-up": np.ldexp(d, 40), "scaled-down": np.ldexp(d, -40)}[case]
+    path = tmp_path / "d.csv"
+    save_matrix(values, path)
+    rc = main(["train", "--algorithm", "stmp", "--input", str(path), "--input-kind",
+               "dissimilarity", "--out", str(tmp_path / "out"), *grid])
+    assert rc in (0, 1), capsys.readouterr().err
 
 
 def test_train_stmp_stochasticity_and_trace():
