@@ -59,7 +59,7 @@ def resolve_collisions(costs: np.ndarray) -> tuple[np.ndarray, int, int]:
     """
     k, n = costs.shape
     raw = np.argmin(costs, axis=1)
-    detected = k - np.unique(raw).size
+    detected = k - np.count_nonzero(np.bincount(raw, minlength=n))
     if detected == 0:
         return raw, 0, 0
     if n >= 2:
@@ -80,7 +80,7 @@ def resolve_collisions(costs: np.ndarray) -> tuple[np.ndarray, int, int]:
         result[unit] = choice
         used[choice] = True
         taken += 1
-    unresolved = k - np.unique(result).size
+    unresolved = k - np.count_nonzero(np.bincount(result, minlength=n))
     return result, detected, unresolved
 
 
@@ -119,5 +119,6 @@ def train_batch_median(
     )
     return MedianSOMResult(
         run.state, run.assignments, run.trace, run.energies, lattice, run.final_sigma,
-        run.events, k - np.unique(run.state).size, run.stopped, dict(sums.passes),
+        run.events, k - np.count_nonzero(np.bincount(run.state, minlength=n)), run.stopped,
+        dict(sums.passes),
     )

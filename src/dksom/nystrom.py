@@ -28,6 +28,7 @@ from .lattice import Lattice, Schedule
 from .relsom import (
     CoefficientSOMResult,
     _check_coefficients,
+    _drift,
     _train_batch,
     _train_online,
     unit_row_sums,
@@ -214,8 +215,18 @@ class _LandmarkState:
     def dense(self, a: np.ndarray) -> np.ndarray:
         return approx_relational_distances(self.factor, a)
 
-    def cross(self, u: np.ndarray, i: int) -> np.ndarray:
+    def resync(self, carried, u: np.ndarray) -> tuple[np.ndarray, float]:
+        """An online epoch carries U: the exact U and the drift of the
+        carried one from it (0 at the start, when nothing is carried yet)."""
+        return u, 0.0 if carried is None else _drift(carried, u)
+
+    def cross(self, u: np.ndarray, a: np.ndarray, i: int) -> np.ndarray:
         return u @ self.factor.p_block[i]
+
+    def blend(self, u: np.ndarray, keep: np.ndarray, pull: np.ndarray, i: int) -> None:
+        """Blend C[i] into U as the update blends e_i into A, O(K m)."""
+        u *= keep[:, None]
+        u += pull[:, None] * self.rows[i]
 
     def cross_all(self, u: np.ndarray) -> np.ndarray:
         return (self.factor.p_block @ u.T).T

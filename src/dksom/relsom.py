@@ -28,12 +28,14 @@ iteration to the next: when m points moved it adds and subtracts their m
 rows, and the iteration costs O(m N + N K^2) instead.
 
 An online update blends each coefficient row with a one-hot vector, so that
-engine keeps G = A M and the quadratic terms up to date in O(K N) per
-presentation and recomputes them exactly at each epoch end (see
-_train_online). The naive engine that recomputes A M at every presentation
-is kept as _train_online_reference: the tests compare against it, and the
-complexity benchmark times it. relational_distances and kernel_distances
-keep the dense product.
+engine keeps the quadratic terms up to date in O(K) per presentation and
+reads the cross terms (M a_k)_i of the presented point as one mat-vec
+A M[i], O(K N); it carries no G = A M through the epoch, only the landmark
+view carries U = A C, and both are recomputed exactly at each epoch end
+(see _train_online). The naive engine that recomputes A M at every
+presentation is kept as _train_online_reference: the tests compare against
+it, and the complexity benchmark times it. relational_distances and
+kernel_distances keep the dense product.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ class CoefficientSOMResult:
     empty_unit_events: int = 0  # batch updates skipped for lack of neighborhood mass
     phase_ns: dict = field(default_factory=dict)  # wall time per phase
     # online trainers: largest epoch-end relative gap between the incremental
-    # and the exact state, max|X_incr - X_exact| / max|X_exact| over X = G, q
+    # and the exact state, max|X_incr - X_exact| / max|X_exact| over X = q on
+    # a dense matrix (no G is carried) and X = U, q on landmarks
     # batch trainers on a dense matrix: the same gap between the carried block
     # sums and the fresh pass that gives the final distances (see BlockSums)
     resync_drift_max: float | None = None
@@ -110,6 +113,12 @@ def kernel_distance(k_values: np.ndarray, alpha: np.ndarray, i: int) -> float:
     return float(k_values[i, i] - 2.0 * (k_values[i] @ alpha) + alpha @ k_values @ alpha)
 
 
+def _drift(incr: np.ndarray, exact: np.ndarray) -> float:
+    """max|incr - exact| / max|exact|, 0 where exact is all zero."""
+    scale = float(np.max(np.abs(exact), initial=0.0))
+    return float(np.max(np.abs(incr - exact))) / scale if scale > 0.0 else 0.0
+
+
 UNIT_SUM_ROWS = 32  # rows unit_row_sums gathers at a time
 
 
@@ -122,7 +131,7 @@ def unit_row_sums(m_values: np.ndarray, assignments: np.ndarray, n_units: int) -
     in index order. A unit with no rows gets a zero row.
     """
     s = np.zeros((n_units, m_values.shape[1]))
-    for unit in np.unique(assignments):
+    for unit in np.flatnonzero(np.bincount(assignments, minlength=n_units)):
         rows = np.flatnonzero(assignments == unit)
         for start in range(0, rows.size, UNIT_SUM_ROWS):
             block = m_values[rows[start:start + UNIT_SUM_ROWS]]
@@ -168,10 +177,7 @@ class BlockSums:
         if fresh or not carried:
             s = unit_row_sums(self.m_values, c, n_groups)
             if fresh:
-                gap = 0.0
-                scale = float(np.max(np.abs(s), initial=0.0))
-                if carried and scale > 0.0:
-                    gap = float(np.max(np.abs(self.s - s))) / scale
+                gap = _drift(self.s, s) if carried else 0.0
                 self.drift = gap if self.drift is None else max(self.drift, gap)
             self.s = s
         self.passes["delta" if carried and not fresh else "fresh"] += 1
@@ -191,7 +197,7 @@ class BlockSums:
             row = self.m_values[i]
             self.s[to] += row
             self.s[fro] -= row
-        left = np.unique(old)
+        left = np.flatnonzero(np.bincount(old, minlength=n_groups))
         self.s[left[np.bincount(c, minlength=n_groups)[left] == 0]] = 0.0
         return True
 
@@ -413,10 +419,12 @@ class _DenseState:
     """Engine view of a dense N x N matrix M (D or K), for _train_online and
     _train_batch.
 
-    The state G = A M holds one row per unit; row i of M is what a
-    presentation of point i blends into it, and column i of G is the cross
-    term (M a_k)_i. A batch state builds G from per-unit sums of the rows,
-    which sums carries across the calls for all points.
+    G = A M holds one row per unit, and column i of G is the cross term
+    (M a_k)_i. A batch state builds G from per-unit sums of the rows, which
+    sums carries across the calls for all points. An online epoch carries no
+    G: a presentation of point i reads its cross terms as A M[i], one
+    read-only mat-vec, where blending M[i] into a carried G would take two
+    read-write sweeps over K x N numbers.
     """
 
     def __init__(self, m_values: np.ndarray, kernel_form: bool):
@@ -449,8 +457,17 @@ class _DenseState:
         """N x K distances by the dense product."""
         return (kernel_distances if self.kernel_form else relational_distances)(self.rows, a)
 
-    def cross(self, g: np.ndarray, i: int) -> np.ndarray:
-        return g[:, i]
+    def resync(self, carried, g: np.ndarray) -> tuple[None, float]:
+        """What an online epoch carries, from the exact G, and its drift:
+        nothing, since cross reads the coefficients."""
+        return None, 0.0
+
+    def cross(self, carried, a: np.ndarray, i: int) -> np.ndarray:
+        """The cross terms (M a_k)_i of point i: one mat-vec, O(K N)."""
+        return a @ self.rows[i]
+
+    def blend(self, carried, keep: np.ndarray, pull: np.ndarray, i: int) -> None:
+        """Nothing carried, nothing to blend."""
 
     def cross_all(self, g: np.ndarray) -> np.ndarray:
         return g
@@ -462,23 +479,26 @@ def _train_online(
     schedule: Schedule,
     init_mode: str = "indicator",
 ) -> CoefficientSOMResult:
-    """Incremental stochastic engine: O(K w) per presentation, w = state.rows width.
+    """Incremental stochastic engine: O(K N) per presentation.
 
     The update a_k <- (1 - p_k) a_k + p_k e_i is a convex blend with a one-hot
-    vector, so the state G = A R and the quadratic terms q follow it exactly:
+    vector, so the quadratic terms q follow it exactly:
 
-        g_k <- (1 - p_k) g_k + p_k R[i, :]
         q_k <- (1 - p_k)^2 q_k + 2 p_k (1 - p_k) x_k + p_k^2 M_ii
 
-    with x_k = state.cross(G, i) read before the update (Olteanu &
-    Villa-Vialaneix, Neurocomputing 147, 2015). The distance of point i to
-    unit k is x_k - q_k / 2 (relational form) or, with state.kernel_form,
-    M_ii - 2 x_k + q_k. Every epoch end recomputes G and q exactly from the
-    coefficients, which clears the rounding drift of the blends; the largest
-    relative drift of G or q seen is returned as resync_drift_max. The
-    coefficient arithmetic is that of _train_online_reference, so the
-    coefficients are bit-identical to its whenever the BMUs agree. Each epoch
-    draws N presentations, one pass in expectation.
+    with the cross terms x_k = (M a_k)_i read before the update (Olteanu &
+    Villa-Vialaneix, Neurocomputing 147, 2015). The view serves x from the
+    state it carries through the epoch, which it blends after each update:
+    a dense view carries nothing and reads x as one mat-vec A M[i], a
+    landmark view carries U = A C and blends C[i] into it. The distance of
+    point i to unit k is x_k - q_k / 2 (relational form) or, with
+    state.kernel_form, M_ii - 2 x_k + q_k. Every epoch end recomputes q and
+    the carried state exactly from the coefficients, which clears the
+    rounding drift of the blends; the largest relative drift seen is
+    returned as resync_drift_max. The coefficient arithmetic is that of
+    _train_online_reference, so the coefficients are bit-identical to its
+    whenever the BMUs agree. Each epoch draws N presentations, one pass in
+    expectation.
     """
     n = state.rows.shape[0]
     sigmas = schedule.sigmas(lattice)
@@ -491,35 +511,37 @@ def _train_online(
     negative = 0
     assign_ns = 0
     update_ns = 0
-    drift = 0.0
     g, q = state.exact(a)
+    carried, drift = state.resync(None, g)
+    cross, blend, diag = state.cross, state.blend, state.diag
+    clock = time.perf_counter_ns
     for e in range(schedule.steps):
         h = lattice.neighborhood(sigmas[e])
-        eps = epsilons[e]
-        order = rng.integers(0, n, size=n)
-        for i in order:
-            t0 = time.perf_counter_ns()
-            x = state.cross(g, i)
-            m_ii = state.diag[i]
+        # row c of each is the product that a presentation won by unit c
+        # forms from pull = eps * h[:, c], bit for bit
+        pull = epsilons[e] * h.T
+        keep = 1.0 - pull
+        winners = list(zip(pull, keep, keep * keep, 2.0 * pull * keep, pull * pull))
+        for i in rng.integers(0, n, size=n).tolist():
+            t0 = clock()
+            x = cross(carried, a, i)
+            m_ii = diag[i]
             d = _distances(state, x, q, m_ii)
-            c = int(np.argmin(d))
-            t1 = time.perf_counter_ns()
-            pull = eps * h[:, c]
-            keep = 1.0 - pull
-            a *= keep[:, None]
-            a[:, i] += pull
-            q = keep * keep * q + 2.0 * pull * keep * x + pull * pull * m_ii
-            g *= keep[:, None]
-            g += pull[:, None] * state.rows[i]
-            update_ns += time.perf_counter_ns() - t1
+            c = int(d.argmin())
+            t1 = clock()
+            pull_c, keep_c, keep2, pull_keep2, pull2 = winners[c]
+            a *= keep_c[:, None]
+            a[:, i] += pull_c
+            q = keep2 * q + pull_keep2 * x + pull2 * m_ii
+            blend(carried, keep_c, pull_c, i)
+            update_ns += clock() - t1
             assign_ns += t1 - t0
-            negative += int(np.count_nonzero(d < 0.0))
-        g_exact, q_exact = state.exact(a)
-        for incr, exact in ((g, g_exact), (q, q_exact)):
-            scale = float(np.max(np.abs(exact)))
-            if scale > 0.0:
-                drift = max(drift, float(np.max(np.abs(incr - exact))) / scale)
-        g, q = g_exact, q_exact
+            if not d[c] >= 0.0:  # argmin gives the smallest entry or the first NaN
+                negative += int(np.count_nonzero(d < 0.0))
+        g, q_exact = state.exact(a)
+        carried, gap = state.resync(carried, g)
+        drift = max(drift, gap, _drift(q, q_exact))
+        q = q_exact
         dists = _distances(state, state.cross_all(g), q[:, None], state.diag[None, :]).T
         negative += int(np.count_nonzero(dists < 0.0))
         trace[e] = np.argmin(dists, axis=1)

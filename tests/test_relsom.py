@@ -10,6 +10,7 @@ from dksom.dismat import (
 )
 from dksom.lattice import Lattice, Schedule
 from dksom.mediansom import train_batch_median
+from dksom.nystrom import _LandmarkState, approx_relational_distances, nystrom_fit_dissimilarity
 from dksom.relsom import (
     BlockSums,
     _coefficient_update,
@@ -226,6 +227,81 @@ def test_incremental_online_engine_matches_naive_reference(kind, init_mode):
     np.testing.assert_allclose(inc.energy_trace, ref.energy_trace, rtol=1e-12)
     assert 0.0 <= inc.resync_drift_max < 1e-12
     assert ref.resync_drift_max is None
+
+
+def _blob_points(n: int) -> np.ndarray:
+    """n points from five unit-variance Gaussian blobs in R^5, as the online
+    benchmark draws them."""
+    rng = np.random.default_rng(57)
+    centers = rng.uniform(-10.0, 10.0, size=(5, 5))
+    return centers[rng.integers(0, 5, size=n)] + rng.standard_normal((n, 5))
+
+
+def _benchmark_case(kind):
+    """(engine view, N, naive row distances, naive matrix distances) on N=150
+    blob points: an L1 dissimilarity (non-Euclidean) or an RBF kernel."""
+    x = _blob_points(150)
+    diff = x[:, None, :] - x[None, :, :]
+    if kind == "kernel":
+        k = KernelMatrix.from_array(np.exp(np.sum(diff * diff, axis=2) / -50.0)).values
+        return (_DenseState(k, kernel_form=True), 150, _kernel_row_dist(k),
+                lambda a: kernel_distances(k, a))
+    d = DissimilarityMatrix.from_array(np.sum(np.abs(diff), axis=2)).values
+    return (_DenseState(d, kernel_form=False), 150, _relational_row_dist(d),
+            lambda a: relational_distances(d, a))
+
+
+@pytest.mark.parametrize("init_mode", ["indicator", "uniform"])
+@pytest.mark.parametrize("kind", ["l1", "kernel"])
+def test_online_engine_matches_naive_reference_at_benchmark_shape(kind, init_mode):
+    """The online benchmark's shape, scaled down: blob data, a 5x5 map, every
+    presentation's cross terms read as a mat-vec over the coefficients."""
+    state, n, row_dist, matrix_dist = _benchmark_case(kind)
+    lat = Lattice(5, 5, "rectangular")
+    schedule = Schedule(2, seed=7)
+    inc = _train_online(state, lat, schedule, init_mode=init_mode)
+    ref = _train_online_reference(n, row_dist, matrix_dist, lat, schedule, init_mode=init_mode)
+    assert np.array_equal(inc.coefficients, ref.coefficients)
+    assert np.array_equal(inc.assignment_trace, ref.assignment_trace)
+    assert inc.negative_distances == ref.negative_distances
+    assert 0.0 <= inc.resync_drift_max < 1e-12
+
+
+@pytest.mark.parametrize("init_mode", ["indicator", "uniform"])
+def test_landmark_online_engine_carries_its_state_at_benchmark_shape(init_mode):
+    """A landmark view blends C[i] into U = A C at every presentation, and each
+    epoch end measures the carried U against the exact one."""
+    x = _blob_points(150)
+    d = DissimilarityMatrix.from_array(np.sum(np.abs(x[:, None, :] - x[None, :, :]), axis=2))
+    factor = nystrom_fit_dissimilarity(d, 20, seed=7)
+
+    class Spy(_LandmarkState):
+        def __init__(self, factor):
+            super().__init__(factor)
+            self.blends, self.gaps = 0, []
+
+        def blend(self, u, keep, pull, i):
+            self.blends += 1
+            super().blend(u, keep, pull, i)
+
+        def resync(self, carried, u):
+            out = super().resync(carried, u)
+            if carried is not None:
+                self.gaps.append(out[1])
+            return out
+
+    lat = Lattice(5, 5, "rectangular")
+    schedule = Schedule(2, seed=7)
+    spy = Spy(factor)
+    inc = _train_online(spy, lat, schedule, init_mode=init_mode)
+    ref = _train_online_reference(
+        150, lambda a, i: approx_relational_distances(factor, a)[i],
+        lambda a: approx_relational_distances(factor, a), lat, schedule, init_mode=init_mode)
+    assert np.array_equal(inc.coefficients, ref.coefficients)
+    assert np.array_equal(inc.assignment_trace, ref.assignment_trace)
+    assert spy.blends == 2 * 150
+    assert len(spy.gaps) == 2
+    assert max(spy.gaps) <= inc.resync_drift_max < 1e-12
 
 
 def _dense_batch_reference(n, matrix_dist, lattice, schedule):
