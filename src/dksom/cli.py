@@ -21,6 +21,7 @@ from . import mediansom, nystrom, quality, relsom, stmp, vectorsom
 from .dismat import (
     MatrixFormatError,
     MatrixValidationError,
+    check_squared_range,
     kernel_to_dissimilarity,
     load_array,
     load_matrix,
@@ -211,10 +212,7 @@ def _train(cfg, data, kind, lattice) -> _Run:
         raise ValueError("landmark acceleration applies to relational/kernel algorithms only")
 
     if alg.startswith("classic"):
-        # no D is built here, so reject what would overflow it: |x - y|^2 <= 4 p max|x|^2
-        largest = float(np.max(np.abs(data.points)))
-        if not np.isfinite(4.0 * data.p * largest * largest):
-            raise ValueError(f"vector coordinates up to {largest:.3e} overflow squared distances")
+        check_squared_range(data)  # no D is built, but the trainers form squared distances
         train = vectorsom.train_online if online else vectorsom.train_batch
         result = train(data, lattice, schedule)
         return _Run(result, None, None, {"prototypes": ("prototypes.csv", result.prototypes)},

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,15 +46,7 @@ class ValidationReport:
     psd_margin: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "symmetric": self.symmetric,
-            "max_asymmetry": self.max_asymmetry,
-            "min_entry": self.min_entry,
-            "zero_diag": self.zero_diag,
-            "metric_violations": self.metric_violations,
-            "ordering_violations": self.ordering_violations,
-            "psd_margin": self.psd_margin,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2)
@@ -388,6 +380,15 @@ def kernel_to_dissimilarity(kernel: KernelMatrix) -> DissimilarityMatrix:
     return DissimilarityMatrix._owning(d)
 
 
+def check_squared_range(dataset: VectorDataset) -> None:
+    """Reject coordinates whose squared distances would overflow, from the
+    bound |x - y|^2 <= 4 p max|x|^2, before any product is formed."""
+    largest = float(np.max(np.abs(dataset.points)))
+    if not np.isfinite(4.0 * dataset.p * largest * largest):
+        raise MatrixValidationError(
+            f"vector coordinates up to {largest:.3e} overflow squared distances")
+
+
 def squared_euclidean(dataset: VectorDataset) -> DissimilarityMatrix:
     """Pairwise squared Euclidean distances, zero diagonal.
 
@@ -395,6 +396,7 @@ def squared_euclidean(dataset: VectorDataset) -> DissimilarityMatrix:
     NumPy forms x x^T as one triangle mirrored (a symmetric rank-k update),
     so D comes out exactly symmetric; _owning checks that, as for any input.
     """
+    check_squared_range(dataset)
     x = dataset.points
     sq = np.einsum("ij,ij->i", x, x)
     d = x @ x.T

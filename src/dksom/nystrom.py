@@ -1,20 +1,19 @@
 """Low-rank landmark approximation to speed up coefficient-based SOM training.
 
-A similarity matrix is approximated from m sampled columns as
-K~ = C W+ C^T (C the landmark columns, W+ the eigen-pseudo-inverse of the
-landmark block). Dissimilarity matrices are routed through double centering
-S = -1/2 J D J, which is PSD exactly when D is squared-Euclidean; negative
-eigenvalues of the landmark block (non-Euclidean part) are truncated.
+A similarity matrix is approximated from m sampled columns C as
+K~ = C W+ C^T = F F^T (Williams & Seeger, NIPS 13, 2001): W = V L V^T is the
+landmark block and F = C V_r L_r^(-1/2) keeps its r eigenvalues above
+DEFAULT_RANK_TOL of the largest. Dissimilarity matrices are routed through
+double centering S = -1/2 J D J, which is PSD exactly when D is
+squared-Euclidean; negative eigenvalues (the non-Euclidean part) are cut.
+Row i of F embeds point i in R^r, so a relational distance is a squared
+Euclidean one there, O(N r) instead of O(N^2) per prototype:
 
-With P = C W+ precomputed, one point-to-prototype relational distance costs
-O(N m) instead of O(N^2):
+    dist(alpha, i) = g_i - 2 F_i . u + u . u,   u = F^T alpha, g_i = |F_i|^2.
 
-    dist(alpha, i) = g_i - 2 P_i . u + u^T W+ u,   u = C^T alpha, g = diag(K~).
-
-Online training keeps u and u^T W+ u up to date per unit, so a presentation
-costs O(m) per unit for its distances (see _LandmarkState). Batch training
-builds u from the per-unit row sums of C in O(N m + K^2 m); its distances
-still cost O(N m K) per iteration.
+Online training keeps u and u . u up to date per unit, O(r) per unit and
+presentation (see _LandmarkState). Batch training builds u from the
+per-unit row sums of F in O(N r + K^2 r); its distances cost O(N r K).
 """
 
 from __future__ import annotations
@@ -40,23 +39,18 @@ RECONSTRUCTION_SAMPLES = 1000  # (i, j) pairs sample_reconstruction_error draws
 
 @dataclass(frozen=True)
 class NystromFactor:
-    """Immutable landmark factorization of a similarity (or centered) matrix."""
+    """Immutable landmark factorization K~ = F F^T of a similarity (or
+    centered) matrix: row i of F embeds point i in R^rank."""
 
     kind: str  # "kernel" | "dissimilarity"
     landmarks: np.ndarray  # m distinct data indices
-    c_block: np.ndarray  # N x m sampled columns
-    w_pinv: np.ndarray  # m x m pseudo-inverse of the landmark block
+    features: np.ndarray  # N x rank, C V_r / sqrt(lambda_r)
     rank: int  # eigenvalues kept
-    p_block: np.ndarray  # N x m cache C @ W+
-    g: np.ndarray  # N diagonal of the approximated similarity
+    g: np.ndarray  # N diagonal of the approximated similarity, |F_i|^2
 
     @property
     def n(self) -> int:
-        return self.c_block.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.c_block.shape[1]
+        return self.features.shape[0]
 
 
 def _landmarks(n: int, m: int, seed: int) -> np.ndarray:
@@ -72,11 +66,8 @@ def _factor(c: np.ndarray, landmarks: np.ndarray, kind: str) -> NystromFactor:
     lam, vec = np.linalg.eigh(w)
     lam_max = float(lam[-1])
     keep = lam > DEFAULT_RANK_TOL * lam_max if lam_max > 0.0 else np.zeros_like(lam, dtype=bool)
-    vk = vec[:, keep]
-    w_pinv = (vk / lam[keep]) @ vk.T
-    p = c @ w_pinv
-    g = np.einsum("im,im->i", p, c)
-    return NystromFactor(kind, landmarks, c, w_pinv, int(np.count_nonzero(keep)), p, g)
+    f = c @ (vec[:, keep] / np.sqrt(lam[keep]))
+    return NystromFactor(kind, landmarks, f, f.shape[1], np.einsum("ir,ir->i", f, f))
 
 
 def _fit(values: np.ndarray, m: int, seed: int, kind: str) -> NystromFactor:
@@ -136,7 +127,7 @@ def nystrom_fit_dissimilarity(dismatrix, m: int, seed: int = 0) -> NystromFactor
 
 def reconstruct_similarity(factor: NystromFactor) -> np.ndarray:
     """Dense N x N approximated similarity (kernel K~ or centered S~)."""
-    return factor.p_block @ factor.c_block.T
+    return factor.features @ factor.features.T
 
 
 def reconstruct_dissimilarity(factor: NystromFactor) -> np.ndarray:
@@ -149,17 +140,17 @@ def reconstruct_dissimilarity(factor: NystromFactor) -> np.ndarray:
 
 def approx_relational_distance(factor: NystromFactor, alpha: np.ndarray, i: int) -> float:
     """Relational distance of point i to coefficient vector alpha on the
-    reconstructed dissimilarity, in O(N m) without forming it."""
+    reconstructed dissimilarity, in O(N r) without forming it."""
     _check_coefficients(alpha)
-    u = factor.c_block.T @ alpha
-    return float(factor.g[i] - 2.0 * (factor.p_block[i] @ u) + u @ factor.w_pinv @ u)
+    u = factor.features.T @ alpha
+    return float(factor.g[i] - 2.0 * (factor.features[i] @ u) + u @ u)
 
 
 def approx_relational_distances(factor: NystromFactor, coefficients: np.ndarray) -> np.ndarray:
-    """N x K distance matrix on the reconstruction, O(N m K) total."""
-    u = factor.c_block.T @ coefficients.T  # m x K
-    quad = np.einsum("mk,mk->k", u, factor.w_pinv @ u)
-    return factor.g[:, None] - 2.0 * (factor.p_block @ u) + quad[None, :]
+    """N x K distance matrix on the reconstruction, O(N r K) total."""
+    u = coefficients @ factor.features  # K x r
+    quad = np.einsum("kr,kr->k", u, u)
+    return factor.g[:, None] - 2.0 * (factor.features @ u.T) + quad[None, :]
 
 
 def sample_reconstruction_error(factor: NystromFactor, original: np.ndarray, seed: int = 0) -> dict:
@@ -171,7 +162,7 @@ def sample_reconstruction_error(factor: NystromFactor, original: np.ndarray, see
     rng = np.random.default_rng(seed)
     i = rng.integers(0, factor.n, size=RECONSTRUCTION_SAMPLES)
     j = rng.integers(0, factor.n, size=RECONSTRUCTION_SAMPLES)
-    cross = np.einsum("sm,sm->s", factor.p_block[i], factor.c_block[j])
+    cross = np.einsum("sr,sr->s", factor.features[i], factor.features[j])
     if factor.kind == "dissimilarity":
         approx = factor.g[i] + factor.g[j] - 2.0 * cross
         approx[i == j] = 0.0
@@ -183,34 +174,35 @@ def sample_reconstruction_error(factor: NystromFactor, original: np.ndarray, see
 
 
 class _LandmarkState:
-    """Engine view of the reconstruction K~ = C W+ C^T, for _train_online and
+    """Engine view of the reconstruction K~ = F F^T, for _train_online and
     _train_batch.
 
-    The state is U = A C (K x m): a presentation of point i blends C[i] into
-    it, the cross term (K~ a_k)_i is U[k] . P[i] and the diagonal is g, so
-    one presentation reads m numbers per unit instead of N. A batch state
-    builds U from per-unit sums of the rows of C.
+    The state is U = A F (K x r): a presentation of point i blends F[i] into
+    it, the cross term (K~ a_k)_i is U[k] . F[i], the quadratic term
+    a_k^T K~ a_k is |U[k]|^2 and the diagonal is g, so one presentation reads
+    r numbers per unit instead of N. A batch state builds U from per-unit
+    sums of the rows of F.
     """
 
     kernel_form = True  # distances g_i - 2 (K~ a_k)_i + a_k^T K~ a_k
-    sums = None  # C is only N x m: block makes a fresh pass every time
+    sums = None  # F is only N x r: block makes a fresh pass every time
 
     def __init__(self, factor: NystromFactor):
         self.factor = factor
-        self.rows = factor.c_block
+        self.rows = factor.features
         self.diag = factor.g
 
     def exact(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """U = A C and q_k = u_k^T W+ u_k, formed as approx_relational_distances does."""
-        u = self.rows.T @ a.T  # m x K
-        return u.T, np.einsum("mk,mk->k", u, self.factor.w_pinv @ u)
+        """U = A F and q_k = |u_k|^2, formed as approx_relational_distances does."""
+        u = a @ self.rows
+        return u, np.einsum("kr,kr->k", u, u)
 
     def block(self, c: np.ndarray, weights: np.ndarray, points=slice(None), fresh=False):
         """exact() for the rows a_k with a_k[points[j]] = weights[k, c[j]] and zero
-        elsewhere: U = A C from the per-group row sums of C, O(N m + K L m).
+        elsewhere: U = A F from the per-group row sums of F, O(N r + K L r).
         Every pass is fresh, whatever fresh says."""
-        u = (weights @ unit_row_sums(self.rows[points], c, weights.shape[1])).T  # m x K
-        return u.T, np.einsum("mk,mk->k", u, self.factor.w_pinv @ u)
+        u = weights @ unit_row_sums(self.rows[points], c, weights.shape[1])
+        return u, np.einsum("kr,kr->k", u, u)
 
     def dense(self, a: np.ndarray) -> np.ndarray:
         return approx_relational_distances(self.factor, a)
@@ -221,15 +213,15 @@ class _LandmarkState:
         return u, 0.0 if carried is None else _drift(carried, u)
 
     def cross(self, u: np.ndarray, a: np.ndarray, i: int) -> np.ndarray:
-        return u @ self.factor.p_block[i]
+        return u @ self.rows[i]
 
     def blend(self, u: np.ndarray, keep: np.ndarray, pull: np.ndarray, i: int) -> None:
-        """Blend C[i] into U as the update blends e_i into A, O(K m)."""
+        """Blend F[i] into U as the update blends e_i into A, O(K r)."""
         u *= keep[:, None]
         u += pull[:, None] * self.rows[i]
 
     def cross_all(self, u: np.ndarray) -> np.ndarray:
-        return (self.factor.p_block @ u.T).T
+        return (self.rows @ u.T).T
 
 
 def train_batch_approx(
@@ -248,5 +240,5 @@ def train_online_approx(
     schedule: Schedule,
     init_mode: str = "indicator",
 ) -> CoefficientSOMResult:
-    """Stochastic relational SOM whose distances cost O(K m) per presentation."""
+    """Stochastic relational SOM whose distances cost O(K r) per presentation."""
     return _train_online(_LandmarkState(factor), lattice, schedule, init_mode)

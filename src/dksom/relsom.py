@@ -31,7 +31,7 @@ An online update blends each coefficient row with a one-hot vector, so that
 engine keeps the quadratic terms up to date in O(K) per presentation and
 reads the cross terms (M a_k)_i of the presented point as one mat-vec
 A M[i], O(K N); it carries no G = A M through the epoch, only the landmark
-view carries U = A C, and both are recomputed exactly at each epoch end
+view carries U = A F, and both are recomputed exactly at each epoch end
 (see _train_online). The naive engine that recomputes A M at every
 presentation is kept as _train_online_reference: the tests compare against
 it, and the complexity benchmark times it. relational_distances and
@@ -490,7 +490,7 @@ def _train_online(
     Villa-Vialaneix, Neurocomputing 147, 2015). The view serves x from the
     state it carries through the epoch, which it blends after each update:
     a dense view carries nothing and reads x as one mat-vec A M[i], a
-    landmark view carries U = A C and blends C[i] into it. The distance of
+    landmark view carries U = A F and blends F[i] into it. The distance of
     point i to unit k is x_k - q_k / 2 (relational form) or, with
     state.kernel_form, M_ii - 2 x_k + q_k. Every epoch end recomputes q and
     the carried state exactly from the coefficients, which clears the

@@ -212,12 +212,16 @@ def settle(d_values: np.ndarray, h: np.ndarray, e: np.ndarray, beta: float, tol:
         e_new = mean_field(d_values, mixing_coefficients(gamma, h), h)
         prev_step, step = step, e_new - e
         e = e_new
-        delta = float(np.max(np.abs(step)))
+        prev_delta, delta = delta, float(np.max(np.abs(step)))
         if delta < tol:
             break
         if prev_step is None:
             continue
-        last_ratio, ratio = ratio, float(np.vdot(step, prev_step) / np.vdot(prev_step, prev_step))
+        # one power of two brings both steps to at most 1, so the dot products
+        # cannot overflow; it is exact, so the ratio is that of the steps
+        shift = -math.frexp(max(delta, prev_delta))[1]
+        r, r_prev = np.ldexp(step, shift), np.ldexp(prev_step, shift)
+        last_ratio, ratio = ratio, float(np.vdot(r, r_prev) / np.vdot(r_prev, r_prev))
         if (iters < max_iters and last_ratio is not None and _RATIO_FLOOR < ratio < 1.0
                 and abs(ratio - last_ratio) <= _RATIO_AGREEMENT * last_ratio):
             e = e + step * (ratio / (1.0 - ratio))

@@ -253,13 +253,23 @@ def test_train_classic_batch_on_vectors(fixtures):
     assert (out / "prototypes.csv").exists()
 
 
-def test_classic_rejects_vectors_whose_squared_distances_overflow(tmp_path, capsys):
-    vec = tmp_path / "huge.csv"
-    vec.write_text("1e200,0\n0,-1e200\n3e200,2e200\n")
-    rc = main(["train", "--algorithm", "classic-batch", "--input", str(vec),
-               "--input-kind", "vectors", "--rows", "1", "--cols", "2", "--out", str(tmp_path / "o")])
-    assert rc == 1
-    assert "overflow squared distances" in capsys.readouterr().err
+@pytest.mark.parametrize("landmarks", [(), ("--nystrom-landmarks", "3")], ids=["dense", "landmarks"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_vectors_whose_squared_distances_overflow_exit_1(tmp_path, capsys, algorithm, landmarks):
+    """Two blobs of points scaled by 1e300: every algorithm refuses them
+    before any product, with one message and no numeric warning."""
+    rng = np.random.default_rng(3)
+    x = rng.normal(scale=0.5, size=(12, 2))
+    x[6:, 0] += 6.0
+    vec = tmp_path / "huge.npy"
+    np.save(vec, 1e300 * x)
+    rc = main(["train", "--algorithm", algorithm, "--input", str(vec), "--input-kind", "vectors",
+               "--rows", "2", "--cols", "2", "--out", str(tmp_path / "o"), *landmarks])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    takes_vectors = not algorithm.startswith("kernel") and not (
+        landmarks and algorithm in ("classic-batch", "classic-online", "median", "stmp"))
+    assert ("overflow squared distances" in err) == takes_vectors, err
 
 
 def test_median_on_entries_near_the_largest_double(tmp_path):

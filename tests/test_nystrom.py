@@ -49,6 +49,31 @@ def test_low_rank_kernel_recovered_at_matching_landmark_count():
     assert np.max(np.abs(reconstruct_similarity(f) - k.values)) < 1e-8
 
 
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 10), (3, 3), (3, 25)])
+def test_features_embed_squared_euclidean_points(p, m):
+    # -1/2 J D J = Xc Xc^T has rank p: the rows of F are the centred points up
+    # to a rotation, so their squared distances are D
+    x = np.random.default_rng(p * 100 + m).normal(size=(60, p)) * [3.0, 1.0, 0.5][:p]
+    d = squared_euclidean(VectorDataset.from_array(x)).values
+    factor = nystrom_fit_dissimilarity(DissimilarityMatrix.from_array(d), m, seed=m)
+    assert factor.rank == p
+    assert factor.features.shape == (60, p)
+    f = factor.features
+    gaps = np.sum((f[:, None, :] - f[None, :, :]) ** 2, axis=2)
+    assert np.max(np.abs(gaps - d)) <= 1e-12 * np.max(d)
+    np.testing.assert_array_equal(factor.g, np.einsum("ir,ir->i", f, f))
+
+
+@pytest.mark.parametrize("r, m", [(1, 4), (3, 3), (3, 12)])
+def test_features_factor_a_low_rank_kernel(r, m):
+    b = np.random.default_rng(r + m).normal(size=(50, r))
+    k = KernelMatrix.from_array(b @ b.T)
+    factor = nystrom_fit(k, m, seed=1)
+    assert factor.rank == r
+    assert np.max(np.abs(factor.features @ factor.features.T - k.values)) <= 1e-12 * np.max(
+        np.abs(k.values))
+
+
 def test_double_center_matches_gram_identity():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(25, 4))

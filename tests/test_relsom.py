@@ -269,7 +269,7 @@ def test_online_engine_matches_naive_reference_at_benchmark_shape(kind, init_mod
 
 @pytest.mark.parametrize("init_mode", ["indicator", "uniform"])
 def test_landmark_online_engine_carries_its_state_at_benchmark_shape(init_mode):
-    """A landmark view blends C[i] into U = A C at every presentation, and each
+    """A landmark view blends F[i] into U = A F at every presentation, and each
     epoch end measures the carried U against the exact one."""
     x = _blob_points(150)
     d = DissimilarityMatrix.from_array(np.sum(np.abs(x[:, None, :] - x[None, :, :]), axis=2))

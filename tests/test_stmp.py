@@ -265,6 +265,17 @@ def test_cli_stmp_on_degenerate_input_exits_0_or_1(tmp_path, capsys, case):
     assert rc in (0, 1), capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", [900, -900])
+def test_cli_stmp_on_dissimilarities_near_the_range_ends_exits_0(tmp_path, capsys, k):
+    """At 2^900 the mean-field steps pass 1e154, where their squared norms
+    would overflow in the extrapolation gate; at 2^-900 they underflow."""
+    path = tmp_path / "d.csv"
+    save_matrix(np.ldexp(two_blob_dissimilarity(40)[0].values, k), path)
+    rc = main(["train", "--algorithm", "stmp", "--input", str(path), "--input-kind",
+               "dissimilarity", "--out", str(tmp_path / "out"), "--rows", "2", "--cols", "3"])
+    assert rc == 0, capsys.readouterr().err
+
+
 def test_train_stmp_stochasticity_and_trace():
     d, _ = two_blob_dissimilarity(n=40)
     res = train_stmp(d, Lattice(2, 2, "rectangular"), sigma=0.7, seed=1)
